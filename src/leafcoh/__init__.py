@@ -32,7 +32,6 @@ from .liealg import LieAlgebraSpec, abelian, affine_line, ce_cohomology, maurer_
 from .scalars import ApproximateReal, QuadraticIrrational, Rational, golden_ratio_conjugate, parse_scalar, sqrt_scalar
 from .skewflow import (
     KroneckerFlowSpec,
-    SkewProductSpec,
     birkhoff_flow_average,
     birkhoff_map_average,
     circle_cohom_solve,

@@ -84,7 +84,7 @@ def _emit(ctx, payload, rows=None) -> int:
     return 0
 
 
-def _domain_exit(ctx, err: LeafcohError) -> int:
+def _domain_exit(err: LeafcohError) -> int:
     payload = {"error": type(err).__name__, "message": str(err)}
     modes = getattr(err, "modes", None)
     if modes:
@@ -94,7 +94,7 @@ def _domain_exit(ctx, err: LeafcohError) -> int:
     return 2
 
 
-def _diagnostic_exit(ctx, diag: SmallDivisorDiagnostic) -> int:
+def _diagnostic_exit(diag: SmallDivisorDiagnostic) -> int:
     sys.stdout.write(
         json.dumps(diag.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
     )
@@ -147,7 +147,6 @@ def _foliation_from_opts(p, q, slope) -> LinearFoliation:
     default="float",
     help="arithmetic mode where the operation supports both",
 )
-@click.option("--seed", type=int, default=0, help="seed for randomized demos")
 @click.option(
     "--output",
     type=click.Choice(["json", "csv", "pretty"]),
@@ -155,10 +154,10 @@ def _foliation_from_opts(p, q, slope) -> LinearFoliation:
     help="report format on stdout",
 )
 @click.pass_context
-def cli(ctx, tol, precision, seed, output):
+def cli(ctx, tol, precision, output):
     """Rigidity-theory calculator: Diophantine certificates, cohomological
     equations, leafwise cohomology, and obstruction functionals."""
-    ctx.obj = {"tol": tol, "precision": precision, "seed": seed, "output": output}
+    ctx.obj = {"tol": tol, "precision": precision, "output": output}
 
 
 def _tol(ctx, default: float) -> float:
@@ -364,7 +363,7 @@ def fol_h1(ctx, p, q, slope, file, inline):
     form = LeafwiseForm.from_json(F, _load_json_arg(file, inline, "1-form"))
     res = fol_mod.solve_h1(form, F, tol=_tol(ctx, 1e-9))
     if isinstance(res, SmallDivisorDiagnostic):
-        return _diagnostic_exit(ctx, res)
+        return _diagnostic_exit(res)
     return _emit(ctx, res.to_json())
 
 
@@ -378,7 +377,7 @@ def fol_minwitness(ctx, p, q, slope, file, inline):
     form = LeafwiseForm.from_json(F, _load_json_arg(file, inline, "top form"))
     res = fol_mod.minimizability_witness(form, F, tol=_tol(ctx, 1e-9))
     if isinstance(res, SmallDivisorDiagnostic):
-        return _diagnostic_exit(ctx, res)
+        return _diagnostic_exit(res)
     return _emit(ctx, res.to_json())
 
 
@@ -459,7 +458,7 @@ def flow_solve_circle(ctx, file, inline, alpha):
     f = TrigPoly.from_json(_load_json_arg(file, inline, "data"))
     res = flow_mod.circle_cohom_solve(f, parse_scalar(alpha), tol=_tol(ctx, 1e-9))
     if isinstance(res, SmallDivisorDiagnostic):
-        return _diagnostic_exit(ctx, res)
+        return _diagnostic_exit(res)
     return _emit(ctx, res.to_json())
 
 
@@ -473,7 +472,7 @@ def flow_solve_flow(ctx, file, inline, alpha):
     spec = KroneckerFlowSpec(tuple(_parse_scalars(alpha)))
     res = flow_mod.flow_cohom_solve(f, spec, tol=_tol(ctx, 1e-9))
     if isinstance(res, SmallDivisorDiagnostic):
-        return _diagnostic_exit(ctx, res)
+        return _diagnostic_exit(res)
     return _emit(ctx, res.to_json())
 
 
@@ -490,7 +489,7 @@ def flow_section(ctx, file, inline, alpha, samples, step):
         f, parse_scalar(alpha), tol=_tol(ctx, 1e-6), samples=samples, rk4_step=step
     )
     if isinstance(res, SmallDivisorDiagnostic):
-        return _diagnostic_exit(ctx, res)
+        return _diagnostic_exit(res)
     csv_rows = [["t", "x1", "x2"]] + [[t, x, y] for t, x, y in res.trajectory]
     return _emit(ctx, res.to_json(), rows=csv_rows)
 
@@ -603,13 +602,7 @@ def main(argv=None) -> int:
     except click.Abort:
         return 1
     except LeafcohError as e:
-        payload = {"error": type(e).__name__, "message": str(e)}
-        modes = getattr(e, "modes", None)
-        if modes:
-            payload["modes"] = [list(m) if isinstance(m, tuple) else m for m in modes]
-        sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
-        click.echo(f"domain error: {e}", err=True)
-        return 2
+        return _domain_exit(e)
     except (ValueError, KeyError, TypeError, json.JSONDecodeError) as e:
         click.echo(f"bad input: {e}", err=True)
         return 1

@@ -173,26 +173,11 @@ def _exactcoeff_circle_distance_sq(v: ExactCoeff):
     """
     if v.is_zero():
         return True, ExactCoeff({})
-    # reconstruct a scalar to use exact floor; terms are (1,0) and one (d,0)
-    keys = set(v.terms)
-    if keys == {(1, 0)}:
-        fr = v.terms[(1, 0)].re
-        f = fr - math.floor(fr)
-        dist = min(f, 1 - f)
-        return dist == 0, ExactCoeff.from_fraction(dist * dist)
-    if len(keys - {(1, 0)}) == 1:
-        (d, _), = (keys - {(1, 0)})
-        ra = v.terms.get((1, 0))
-        rb = v.terms[(d, 0)]
-        a = ra.re if ra is not None else Fraction(0)
-        b = rb.re
-        quad = QuadraticIrrational(
-            a.numerator * b.denominator,
-            b.numerator * a.denominator,
-            a.denominator * b.denominator,
-            d,
-        )
-        dist = quad.circle_distance()
+    # one radical at most: exact floor through the scalar it represents
+    if len(set(v.terms) - {(1, 0)}) <= 1:
+        dist = v.to_scalar().circle_distance()
+        if isinstance(dist, Fraction):
+            return dist == 0, ExactCoeff.from_fraction(dist * dist)
         dc = ExactCoeff.from_scalar(dist)
         return False, dc * dc
     # several radicals: exact floor via 50-digit interval midpoint is safe at

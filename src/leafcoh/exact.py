@@ -221,6 +221,20 @@ class ExactCoeff:
         g = x.terms.get((1, 0), GR_ZERO)
         return (acc * g.inverse()).times_tau(-j)
 
+    def to_scalar(self) -> "Rational | QuadraticIrrational":
+        """The value as an exact scalar; it must be real, tau-free and carry
+        at most one radical."""
+        radicals = {d for d, _ in self.terms} - {1}
+        if len(radicals) > 1 or any(j or g.im for (_, j), g in self.terms.items()):
+            raise ArithmeticError("not representable as a single quadratic irrational")
+        a = self.terms.get((1, 0), GR_ZERO).re
+        if not radicals:
+            return Rational(a)
+        d = radicals.pop()
+        b = self.terms[(d, 0)].re
+        c = a.denominator * b.denominator
+        return QuadraticIrrational(int(a * c), int(b * c), c, d)
+
     def to_complex(self) -> complex:
         with mpmath.workdps(40):
             tau = 2 * mpmath.pi

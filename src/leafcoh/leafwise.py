@@ -12,6 +12,13 @@ The degree-1 solver inverts the leafwise differential mode by mode through
 the divisors m_i + (B n)_i, and the top-degree witness extends a leafwise
 top form to a closed ambient form, which is the constructive content of
 total minimizability for badly approximable slopes.
+
+Every small-divisor division of the package (these two solvers and the
+circle and Kronecker-flow equations of :mod:`leafcoh.skewflow`) goes
+through one kernel, ``_divide_small_divisors``: each system supplies only
+its divisor function.  ``leafwise_d`` and ``ambient_d`` share one
+exterior-derivative routine, ``_exterior_d``, over the leaf frame and the
+coordinate frame respectively.
 """
 
 from __future__ import annotations
@@ -79,18 +86,6 @@ class LinearFoliation:
                 total = total + ExactCoeff.from_scalar(self.B[i][j]) * n
         return total
 
-    def divisor_profile(self, mode: tuple):
-        """Per-direction divisors: list of (abs value, exactly_zero flag)."""
-        out = []
-        for i in range(self.p):
-            if self.is_exact:
-                d = self.divisor_exact(mode, i)
-                out.append((abs(d.to_complex().real), d.is_zero()))
-            else:
-                d = self.divisor_float(mode, i)
-                out.append((abs(d), d == 0.0))
-        return out
-
     def to_json(self) -> dict:
         return {
             "p": self.p,
@@ -154,7 +149,16 @@ class _Form:
                 comps[idx] = new
             else:
                 comps.pop(idx, None)
-        return comps
+        return self._with(comps)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def scale(self, s):
+        return self._with({i: p.scale(s) for i, p in self.components.items()})
 
     def to_json(self) -> dict:
         return {
@@ -164,6 +168,12 @@ class _Form:
                 for idx in sorted(self.components)
             ],
         }
+
+    @classmethod
+    def from_json(cls, space, obj: dict):
+        """Inverse of to_json; space is the foliation or the torus dimension."""
+        comps = {tuple(row["idx"]): TrigPoly.from_json(row["poly"]) for row in obj["components"]}
+        return cls(space, int(obj["degree"]), comps)
 
 
 class LeafwiseForm(_Form):
@@ -177,27 +187,12 @@ class LeafwiseForm(_Form):
             raise DimensionError("frame index out of range")
         self.foliation = foliation
 
-    def __add__(self, other: "LeafwiseForm") -> "LeafwiseForm":
-        return LeafwiseForm(self.foliation, self.degree, self._combine(other, 1))
-
-    def __sub__(self, other: "LeafwiseForm") -> "LeafwiseForm":
-        return LeafwiseForm(self.foliation, self.degree, self._combine(other, -1))
-
-    def scale(self, s) -> "LeafwiseForm":
-        return LeafwiseForm(
-            self.foliation, self.degree, {i: p.scale(s) for i, p in self.components.items()}
-        )
+    def _with(self, components) -> "LeafwiseForm":
+        return LeafwiseForm(self.foliation, self.degree, components)
 
     @classmethod
     def from_function(cls, foliation, poly: TrigPoly) -> "LeafwiseForm":
         return cls(foliation, 0, {(): poly})
-
-    @classmethod
-    def from_json(cls, foliation, obj: dict) -> "LeafwiseForm":
-        comps = {
-            tuple(row["idx"]): TrigPoly.from_json(row["poly"]) for row in obj["components"]
-        }
-        return cls(foliation, int(obj["degree"]), comps)
 
     def __repr__(self):
         return f"LeafwiseForm(degree={self.degree}, components={len(self.components)})"
@@ -211,23 +206,8 @@ class AmbientForm(_Form):
         if any(v >= dims for idx in self.components for v in idx):
             raise DimensionError("coordinate index out of range")
 
-    def __add__(self, other: "AmbientForm") -> "AmbientForm":
-        return AmbientForm(self.dims, self.degree, self._combine(other, 1))
-
-    def __sub__(self, other: "AmbientForm") -> "AmbientForm":
-        return AmbientForm(self.dims, self.degree, self._combine(other, -1))
-
-    def scale(self, s) -> "AmbientForm":
-        return AmbientForm(
-            self.dims, self.degree, {i: p.scale(s) for i, p in self.components.items()}
-        )
-
-    @classmethod
-    def from_json(cls, dims: int, obj: dict) -> "AmbientForm":
-        comps = {
-            tuple(row["idx"]): TrigPoly.from_json(row["poly"]) for row in obj["components"]
-        }
-        return cls(dims, int(obj["degree"]), comps)
+    def _with(self, components) -> "AmbientForm":
+        return AmbientForm(self.dims, self.degree, components)
 
     def __repr__(self):
         return f"AmbientForm(dims={self.dims}, degree={self.degree})"
@@ -237,59 +217,42 @@ class AmbientForm(_Form):
 # differentials
 
 
-def leafwise_d(omega: LeafwiseForm) -> LeafwiseForm:
-    """Leafwise exterior derivative.
+def _exterior_d(components: dict, degree: int, frames: list, dims: int) -> dict:
+    """Components of d omega over a commuting constant frame.
 
     (d omega)_{j_0..j_k} = sum_a (-1)^a X_{j_a}(omega_{j_0..^j_a..j_k});
     the bracket terms vanish because the frame fields commute.  Input of
-    top degree returns the zero form of degree p+1.
+    top degree gives no components.
     """
-    F = omega.foliation
-    k = omega.degree
-    exact = F.is_exact and omega.is_exact()
-    if k >= F.p:
-        return LeafwiseForm(F, k + 1, {})
-    frames = [F.frame_vector(i, exact) for i in range(F.p)]
     out: dict = {}
-    for J in itertools.combinations(range(F.p), k + 1):
-        total = TrigPoly.zero(F.dims)
+    for J in itertools.combinations(range(len(frames)), degree + 1):
+        total = TrigPoly.zero(dims)
         for a, ja in enumerate(J):
-            sub = J[:a] + J[a + 1:]
-            comp = omega.components.get(sub)
+            comp = components.get(J[:a] + J[a + 1:])
             if comp is None:
                 continue
             term = frame_derivative(comp, frames[ja])
             total = total + (term if a % 2 == 0 else -term)
         if total.coeffs:
             out[J] = total
-    return LeafwiseForm(F, k + 1, out)
+    return out
+
+
+def leafwise_d(omega: LeafwiseForm) -> LeafwiseForm:
+    """Leafwise exterior derivative over the frame X_0..X_{p-1}."""
+    F = omega.foliation
+    exact = F.is_exact and omega.is_exact()
+    frames = [F.frame_vector(i, exact) for i in range(F.p)]
+    comps = _exterior_d(omega.components, omega.degree, frames, F.dims)
+    return LeafwiseForm(F, omega.degree + 1, comps)
 
 
 def ambient_d(omega: AmbientForm) -> AmbientForm:
-    """Coordinatewise exterior derivative on T^n."""
+    """Coordinatewise exterior derivative on T^n (the unit frame)."""
     n = omega.dims
-    k = omega.degree
-    if k >= n:
-        return AmbientForm(n, k + 1, {})
-    exact = omega.is_exact() and bool(omega.components)
-    units = []
-    for c in range(n):
-        e: list = [0] * n
-        e[c] = 1 if exact else 1.0
-        units.append(e)
-    out: dict = {}
-    for C in itertools.combinations(range(n), k + 1):
-        total = TrigPoly.zero(n)
-        for a, ca in enumerate(C):
-            sub = C[:a] + C[a + 1:]
-            comp = omega.components.get(sub)
-            if comp is None:
-                continue
-            term = frame_derivative(comp, units[ca])
-            total = total + (term if a % 2 == 0 else -term)
-        if total.coeffs:
-            out[C] = total
-    return AmbientForm(n, k + 1, out)
+    one = 1 if omega.is_exact() and omega.components else 1.0
+    frames = [[one if c == r else 0 for c in range(n)] for r in range(n)]
+    return AmbientForm(n, omega.degree + 1, _exterior_d(omega.components, omega.degree, frames, n))
 
 
 def _det(rows, exact: bool):
@@ -391,6 +354,59 @@ class SmallDivisorDiagnostic:
         }
 
 
+def _divide_small_divisors(modes, divisor, tol: float):
+    """The small-divisor kernel: classify every nonzero mode, then divide.
+
+    divisor(mode) returns (numerator, d, size, exactly_zero).  A mode is
+    resonant when exactly_zero, near when size <= tol, and otherwise its
+    numerator is divided by d: in the exact ring when d is an ExactCoeff,
+    in complex floats otherwise.  Modes whose numerator is None are
+    classified but not divided.  Returns (quotients, near, resonant) with
+    near the sorted (mode, size) pairs and resonant the sorted modes.
+    """
+    quotients = {}
+    near = []
+    resonant = []
+    for mode in modes:
+        if not any(mode):
+            continue
+        num, d, size, exactly_zero = divisor(mode)
+        if exactly_zero:
+            resonant.append(mode)
+        elif size <= tol:
+            near.append((mode, size))
+        elif num is not None:
+            exact = isinstance(d, ExactCoeff)
+            quotients[mode] = num * d.inverse() if exact else _to_complex(num) / d
+    return quotients, sorted(near), sorted(resonant)
+
+
+def _frame_divisor(F: LinearFoliation, mode: tuple, exact: bool):
+    """Largest frame divisor m_i + (B n)_i of a mode, ties to the smallest i.
+
+    Returns (i, d, size, exactly_zero).  The size and the zero test (every
+    frame divisor vanishes) are exact whenever F is; d is an ExactCoeff
+    when `exact` and a float otherwise.
+    """
+    F_exact = F.is_exact
+    best = None
+    all_zero = True
+    for i in range(F.p):
+        if F_exact:
+            d = F.divisor_exact(mode, i)
+            size, zero = abs(d.to_complex().real), d.is_zero()
+        else:
+            d = F.divisor_float(mode, i)
+            size, zero = abs(d), d == 0.0
+        all_zero = all_zero and zero
+        if best is None or size > best[2]:
+            best = (i, d, size)
+    i, d, size = best
+    if F_exact and not exact:
+        d = F.divisor_float(mode, i)
+    return i, d, size, all_zero
+
+
 @dataclass(frozen=True)
 class H1Solution:
     a: tuple[float, ...]
@@ -399,26 +415,6 @@ class H1Solution:
 
     def to_json(self) -> dict:
         return {"a": list(self.a), "g": self.g.to_json(), "residual": self.residual}
-
-
-def _divisor_split(F: LinearFoliation, support, tol: float):
-    """Classify nonzero modes: solvable (with best direction) / near / exact zero."""
-    solvable = {}
-    near = []
-    exact_zero = []
-    for mode in support:
-        if not any(mode):
-            continue
-        profile = F.divisor_profile(mode)
-        best_i = max(range(F.p), key=lambda i: (profile[i][0], -i))
-        best_abs = profile[best_i][0]
-        if all(z for _, z in profile):
-            exact_zero.append(mode)
-        elif best_abs <= tol:
-            near.append((mode, best_abs))
-        else:
-            solvable[mode] = best_i
-    return solvable, near, exact_zero
 
 
 def solve_h1(omega: LeafwiseForm, F: LinearFoliation, tol: float = 1e-9):
@@ -431,9 +427,9 @@ def solve_h1(omega: LeafwiseForm, F: LinearFoliation, tol: float = 1e-9):
     exactly the closedness precondition checked up front.
 
     Returns an H1Solution, or a SmallDivisorDiagnostic when some supported
-    mode has all divisors within tol of zero.  An exactly resonant mode with
-    a nonzero coefficient raises ObstructionError: the class lies outside
-    the span of the constant forms.
+    mode has all divisors within tol of zero.  Exactly resonant supported
+    modes raise ObstructionError (sorted): the class lies outside the span
+    of the constant forms.
     """
     if omega.degree != 1:
         raise DimensionError("solve_h1 expects a leafwise 1-form")
@@ -453,32 +449,24 @@ def solve_h1(omega: LeafwiseForm, F: LinearFoliation, tol: float = 1e-9):
     support = set()
     for i in range(F.p):
         support.update(omega.component((i,)).coeffs)
-    solvable, near, exact_zero = _divisor_split(F, support, tol)
 
-    bad = [m for m in exact_zero if any(abs(_to_complex(omega.component((i,)).coeffs.get(m, 0))) > 0 for i in range(F.p))]
-    if bad:
+    def divisor(mode):
+        i, delta, size, zero = _frame_divisor(F, mode, exact)
+        d = delta.times_i().times_tau(1) if exact else complex(0.0, TWO_PI * delta)
+        return omega.component((i,)).coeffs.get(mode), d, size, zero
+
+    g_coeffs, near, resonant = _divide_small_divisors(support, divisor, tol)
+    if resonant:
         raise ObstructionError(
             "exactly resonant modes carry nonzero coefficients; "
             "the class is not in the span of the constant forms",
-            modes=bad,
+            modes=resonant,
         )
     if near:
-        return SmallDivisorDiagnostic("solve_h1 near-resonant modes", tol, sorted(near))
+        return SmallDivisorDiagnostic("solve_h1 near-resonant modes", tol, near)
 
     means = [omega.component((i,)).mean() for i in range(F.p)]
     a = tuple(_to_complex(m).real for m in means)
-
-    g_coeffs = {}
-    for mode, i in solvable.items():
-        w = omega.component((i,)).coeffs.get(mode)
-        if w is None:
-            continue
-        if exact:
-            factor = F.divisor_exact(mode, i).times_i().times_tau(1)
-            g_coeffs[mode] = w * factor.inverse()
-        else:
-            delta = F.divisor_float(mode, i)
-            g_coeffs[mode] = _to_complex(w) / complex(0.0, TWO_PI * delta)
     g = TrigPoly(F.dims, g_coeffs)
 
     if exact:
@@ -529,36 +517,34 @@ def minimizability_witness(omega0: LeafwiseForm, F: LinearFoliation, tol: float 
     exact = F.is_exact and omega0.is_exact()
     poly = omega0.component(top)
 
-    solvable, near, exact_zero = _divisor_split(F, set(poly.coeffs), tol)
-    blocked = near + [(m, 0.0) for m in exact_zero if poly.coeffs.get(m) is not None]
-    if blocked:
+    sub_of = {}
+
+    def divisor(mode):
+        i, delta, size, zero = _frame_divisor(F, mode, exact)
+        sign = -1 if i % 2 else 1
+        sub_of[mode] = top[:i] + top[i + 1:]
+        d = (delta.times_i().times_tau(1) * sign if exact
+             else complex(0.0, sign * TWO_PI * delta))
+        return poly.coeffs[mode], d, size, zero
+
+    quotients, near, resonant = _divide_small_divisors(poly.coeffs, divisor, tol)
+    if near or resonant:
         return SmallDivisorDiagnostic(
-            "minimizability witness blocked by resonant modes", tol, sorted(blocked)
+            "minimizability witness blocked by resonant modes",
+            tol,
+            sorted(near + [(m, 0.0) for m in resonant]),
         )
 
     c = poly.mean()
     eta_comps: dict = {}
-    for mode, i in solvable.items():
-        w = poly.coeffs.get(mode)
-        if w is None:
-            continue
-        sub = top[:i] + top[i + 1:]
-        sign = -1 if i % 2 else 1
-        if exact:
-            factor = F.divisor_exact(mode, i).times_i().times_tau(1) * sign
-            val = w * factor.inverse()
-        else:
-            delta = F.divisor_float(mode, i)
-            val = _to_complex(w) / complex(0.0, sign * TWO_PI * delta)
-        eta_comps.setdefault(sub, {})[mode] = val
+    for mode, val in quotients.items():
+        eta_comps.setdefault(sub_of[mode], {})[mode] = val
     eta = LeafwiseForm(
         F, p - 1, {idx: TrigPoly(F.dims, coeffs) for idx, coeffs in eta_comps.items()}
     )
 
     # ambient carrier: same components on the matching ds monomials
-    eta_amb = AmbientForm(
-        F.dims, p - 1, {idx: poly_ for idx, poly_ in eta.components.items()}
-    )
+    eta_amb = AmbientForm(F.dims, p - 1, eta.components)
     ds_top = AmbientForm(F.dims, p, {top: TrigPoly.constant(F.dims, c)})
     ambient = ds_top + ambient_d(eta_amb)
 
@@ -566,6 +552,4 @@ def minimizability_witness(omega0: LeafwiseForm, F: LinearFoliation, tol: float 
     closure_sup = closure.sup_coeff()
     back = restrict(ambient, F)
     residual = (back - omega0).sup_coeff()
-    return MinimizabilityWitness(
-        _to_complex(c).real, eta, ambient, closure_sup, residual
-    )
+    return MinimizabilityWitness(_to_complex(c).real, eta, ambient, closure_sup, residual)

@@ -30,9 +30,9 @@ from .errors import (
     NonpositiveError,
     ObstructionError,
 )
-from .exact import ExactCoeff, GaussianRational, PhaseCoeff
+from .exact import ExactCoeff, PhaseCoeff
 from .fourier import TrigPoly, frame_derivative, inverse_grid, _to_complex
-from .leafwise import SmallDivisorDiagnostic
+from .leafwise import SmallDivisorDiagnostic, _divide_small_divisors
 from .scalars import Rational, RealScalar, as_scalar
 
 TWO_PI = 2.0 * math.pi
@@ -72,16 +72,6 @@ class KroneckerFlowSpec:
         return sum(ki * ai.to_float() for ki, ai in zip(k, self.alpha))
 
 
-@dataclass(frozen=True)
-class SkewProductSpec:
-    """F(x, y) = (x + y, y + lam) on T^2; linear part [[1,1],[0,1]]."""
-
-    lam: RealScalar
-
-    def __post_init__(self):
-        object.__setattr__(self, "lam", as_scalar(self.lam))
-
-
 # ----------------------------------------------------------------------
 # phases with exact argument reduction
 
@@ -96,6 +86,20 @@ def _phase_of_multiple(alpha: RealScalar, j: int) -> complex:
             return cmath.exp(2j * math.pi * float(fr))
         return cmath.exp(2j * math.pi * fr.to_float())
     return cmath.exp(2j * math.pi * ((j * alpha.to_float()) % 1.0))
+
+
+def _circle_divisor(alpha: RealScalar, j: int):
+    """e^{2 pi i j alpha} - 1, and whether j alpha is exactly an integer."""
+    exactly_zero = alpha.is_exact and alpha.times_int(j).frac() == 0
+    return _phase_of_multiple(alpha, j) - 1.0, exactly_zero
+
+
+def _flow_frequency(flow: "KroneckerFlowSpec", k: tuple):
+    """k . alpha as a float, and whether it is exactly zero."""
+    freq = flow.frequency(k)
+    if isinstance(freq, ExactCoeff):
+        return freq.to_complex().real, freq.is_zero()
+    return freq, freq == 0.0
 
 
 def rotate_exact(f: TrigPoly, alpha: RealScalar) -> TrigPoly:
@@ -147,30 +151,15 @@ def _circle_solve_core(f: TrigPoly, alpha, tol: float):
     alpha = as_scalar(alpha)
     c = _to_complex(f.mean()).real
 
-    resonant = []
-    near = []
-    g_coeffs = {}
-    for k, coeff in f.coeffs.items():
-        if k == (0,):
-            continue
-        div = _phase_of_multiple(alpha, k[0]) - 1.0
-        exactly_zero = False
-        if alpha.is_exact:
-            fr = alpha.times_int(k[0]).frac()
-            exactly_zero = isinstance(fr, Fraction) and fr == 0
-        if exactly_zero:
-            resonant.append(k)
-            continue
-        if abs(div) <= tol:
-            near.append((k, abs(div)))
-            continue
-        g_coeffs[k] = _to_complex(coeff) / div
+    def divisor(k):
+        div, exactly_zero = _circle_divisor(alpha, k[0])
+        return f.coeffs[k], div, abs(div), exactly_zero
+
+    g_coeffs, near, resonant = _divide_small_divisors(f.coeffs, divisor, tol)
     if resonant:
-        raise ObstructionError(
-            "resonant circle modes with nonzero coefficients", modes=sorted(resonant)
-        )
+        raise ObstructionError("resonant circle modes with nonzero coefficients", modes=resonant)
     if near:
-        return SmallDivisorDiagnostic("circle equation near-resonant modes", tol, sorted(near))
+        return SmallDivisorDiagnostic("circle equation near-resonant modes", tol, near)
 
     g = TrigPoly(1, g_coeffs)
     target = rotate_exact(g, alpha) - g + TrigPoly.constant(1, complex(c))
@@ -192,33 +181,15 @@ def flow_cohom_solve(f: TrigPoly, flow: KroneckerFlowSpec, tol: float = 1e-9):
     _require_real(f, "flow equation data")
     c = _to_complex(f.mean()).real
 
-    resonant = []
-    near = []
-    g_coeffs = {}
-    for k, coeff in f.coeffs.items():
-        if not any(k):
-            continue
-        freq = flow.frequency(k)
-        if isinstance(freq, ExactCoeff):
-            if freq.is_zero():
-                resonant.append(k)
-                continue
-            w = freq.to_complex().real
-        else:
-            w = freq
-            if w == 0.0:
-                resonant.append(k)
-                continue
-        if abs(w) <= tol:
-            near.append((k, abs(w)))
-            continue
-        g_coeffs[k] = _to_complex(coeff) / complex(0.0, TWO_PI * w)
+    def divisor(k):
+        w, exactly_zero = _flow_frequency(flow, k)
+        return f.coeffs[k], complex(0.0, TWO_PI * w), abs(w), exactly_zero
+
+    g_coeffs, near, resonant = _divide_small_divisors(f.coeffs, divisor, tol)
     if resonant:
-        raise ObstructionError(
-            "resonant flow modes with nonzero coefficients", modes=sorted(resonant)
-        )
+        raise ObstructionError("resonant flow modes with nonzero coefficients", modes=resonant)
     if near:
-        return SmallDivisorDiagnostic("flow equation near-resonant modes", tol, sorted(near))
+        return SmallDivisorDiagnostic("flow equation near-resonant modes", tol, near)
 
     g = TrigPoly(flow.n, g_coeffs)
     diff = f.to_float() - frame_derivative(g, flow.alpha_floats()) - TrigPoly.constant(
@@ -288,7 +259,7 @@ def suspension_density(f: TrigPoly, alpha) -> TrigPoly:
         if k[0] == 0:
             out[k] = _to_complex(c)
             continue
-        div = _phase_of_multiple(alpha, k[0]) - 1.0
+        div, _ = _circle_divisor(alpha, k[0])
         if div == 0:
             raise ObstructionError("resonant mode in return time", modes=[k])
         out[k] = _to_complex(c) * complex(0.0, TWO_PI * k[0] * af) / div
@@ -380,7 +351,7 @@ def straighten_cross_section(
 # invariant density and Birkhoff averages
 
 
-def reparam_invariant_density(f: TrigPoly, flow: KroneckerFlowSpec | None = None) -> TrigPoly:
+def reparam_invariant_density(f: TrigPoly) -> TrigPoly:
     """Invariant density f / int(f) of the flow with vector field (1/f) X.
 
     X preserves Lebesgue measure, so the time-changed flow preserves
@@ -517,13 +488,18 @@ def _rotation_sum_factor(alphas, k, n: int) -> complex:
 
 
 def coboundary_average_bound(f: TrigPoly, flow: KroneckerFlowSpec, T: float) -> float:
-    """Closed-form bound (sum_k |f_k| / (pi |k.alpha|)) / T for zero-mean f."""
+    """Closed-form bound (sum_k |f_k| / (pi |k.alpha|)) / T for zero-mean f.
+
+    A supported mode with k.alpha exactly zero has no such bound and raises
+    ObstructionError.
+    """
     total = 0.0
     for k, c in f.coeffs.items():
         if not any(k):
             continue
-        freq = flow.frequency(k)
-        w = freq.to_complex().real if isinstance(freq, ExactCoeff) else freq
+        w, exactly_zero = _flow_frequency(flow, k)
+        if exactly_zero:
+            raise ObstructionError("resonant mode in the average bound", modes=[k])
         total += abs(_to_complex(c)) / (math.pi * abs(w))
     return total / T
 

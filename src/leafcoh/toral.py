@@ -236,27 +236,6 @@ class SlopeSplit:
         }
 
 
-def _exactcoeff_to_scalar(v: ExactCoeff):
-    keys = set(v.terms)
-    if not keys:
-        return Rational(0)
-    if keys == {(1, 0)}:
-        return Rational(v.terms[(1, 0)].re)
-    rad = [k for k in keys if k != (1, 0)]
-    if len(rad) != 1:
-        raise ArithmeticError("not representable as a single quadratic irrational")
-    (d, _), = rad
-    a = v.terms.get((1, 0))
-    af = a.re if a is not None else Fraction(0)
-    bf = v.terms[(d, 0)].re
-    return QuadraticIrrational(
-        af.numerator * bf.denominator,
-        bf.numerator * af.denominator,
-        af.denominator * bf.denominator,
-        d,
-    )
-
-
 def _stable_slope_exact_2x2(A: ToralAutomorphism):
     (a, b), (c, d) = A.matrix
     t = a + d
@@ -277,7 +256,7 @@ def _stable_slope_exact_2x2(A: ToralAutomorphism):
     other = 1 - pivot
     num = ExactCoeff.from_scalar(v0[other])
     den = ExactCoeff.from_scalar(v0[pivot])
-    slope = _exactcoeff_to_scalar(num * den.inverse())
+    slope = (num * den.inverse()).to_scalar()
     B = [[slope]]
     split = SlopeSplit((pivot,), (other,))
     return B, split

@@ -60,6 +60,17 @@ def test_exactcoeff_to_complex():
     assert x.to_complex() == pytest.approx(math.pi)
 
 
+def test_exactcoeff_to_scalar_round_trip():
+    scalars = [Rational(0), Rational(-7, 3), golden_ratio_conjugate(), QuadraticIrrational(3, -4, 9, 12)]
+    for x in scalars:
+        assert ExactCoeff.from_scalar(x).to_scalar() == x
+    sqrt2, sqrt3 = (ExactCoeff.from_scalar(QuadraticIrrational(0, 1, 1, d)) for d in (2, 3))
+    one = ExactCoeff.from_fraction(1)
+    for bad in (sqrt2 + sqrt3, one.times_tau(1), one.times_i()):
+        with pytest.raises(ArithmeticError):
+            bad.to_scalar()
+
+
 def test_phasecoeff_transcendental_zero_test():
     lam = golden_ratio_conjugate()
     z = PhaseCoeff(lam, {3: GaussianRational(1), 0: GaussianRational(-1)})

@@ -169,10 +169,20 @@ def test_solve_h1_exact_mode(rng):
 
 def test_solve_h1_obstruction_exact_resonance():
     F = LinearFoliation(1, 1, [[Rational(1, 2)]])
-    bad = LeafwiseForm(F, 1, {(0,): TrigPoly.mode(2, (1, -2), 1.0)})
+    resonant = [(-3, 6), (2, -4), (-2, 4), (1, -2), (3, -6), (-1, 2)]
+    coeffs = {k: 1.0 for k in resonant}
+    coeffs[(1, 1)] = 0.5  # a solvable mode does not hide the obstruction
+    bad = LeafwiseForm(F, 1, {(0,): TrigPoly(2, coeffs)})
     with pytest.raises(ObstructionError) as exc:
         solve_h1(bad, F)
-    assert (1, -2) in exc.value.modes
+    assert exc.value.modes == sorted(resonant)
+    # a resonant mode is reported even when the component it is divided
+    # through (the first one, on ties) does not carry it
+    F2 = LinearFoliation(2, 1, [[Rational(1, 2)], [Rational(1, 3)]])
+    only_second = LeafwiseForm(F2, 1, {(1,): TrigPoly.mode(3, (-3, -2, 6), 1.0)})
+    with pytest.raises(ObstructionError) as exc:
+        solve_h1(only_second, F2)
+    assert exc.value.modes == [(-3, -2, 6)]
 
 
 def test_solve_h1_near_resonance_diagnostic():

@@ -14,7 +14,6 @@ from leafcoh.leafwise import SmallDivisorDiagnostic
 from leafcoh.scalars import ApproximateReal, Rational, golden_ratio_conjugate
 from leafcoh.skewflow import (
     KroneckerFlowSpec,
-    SkewProductSpec,
     birkhoff_flow_average,
     birkhoff_map_average,
     circle_cohom_solve,
@@ -244,6 +243,12 @@ def test_birkhoff_resonant_mode_flat():
     res = birkhoff_flow_average(flow, f, (0.2, 0.5), 1000.0)
     values = [v for _, v in res.curve]
     assert max(values) - min(values) < 1e-12  # no decay on the resonant mode
+    # the closed-form bound has no finite value on a resonant mode
+    g = TrigPoly(2, {(1, -1): 1.0, (-1, 1): 1.0})
+    for one in (Rational(1), ApproximateReal(1.0)):
+        with pytest.raises(ObstructionError) as exc:
+            coboundary_average_bound(g, KroneckerFlowSpec((one, one)), 100.0)
+        assert exc.value.modes[0] in g.coeffs
 
 
 def test_birkhoff_map_coboundary_rate(rng):
@@ -393,11 +398,6 @@ def test_skew_coboundary_float_exact_agree(rng):
     ff = skew_coboundary(gf, GOLDEN)
     for k, c in ff.coeffs.items():
         assert abs(c - fe.coeffs[k].to_complex()) < 1e-14
-
-
-def test_skew_spec_invertible_linear_part():
-    spec = SkewProductSpec(GOLDEN)
-    assert spec.lam == GOLDEN
 
 
 def test_solver_soundness_ten_tol(rng):
