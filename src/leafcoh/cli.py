@@ -129,14 +129,13 @@ def _parse_scalars(text: str) -> list:
     return [parse_scalar(v) for v in text.split(",") if v.strip() != ""]
 
 
-def _foliation_from_opts(p, q, slope) -> LinearFoliation:
-    rows = json.loads(slope)
-    parsed = []
-    for row in rows:
-        parsed.append(
-            [parse_scalar(e) if isinstance(e, str) else as_scalar(e) for e in row]
-        )
-    return LinearFoliation(p, q, parsed)
+def _parse_matrix(text: str) -> list:
+    """JSON rows of scalars: strings in the scalar syntax, or plain numbers."""
+    return [
+        [parse_scalar(e) if isinstance(e, str) else as_scalar(e) for e in row]
+        for row in json.loads(text)
+    ]
+
 
 
 @click.group()
@@ -195,11 +194,7 @@ def dio_margin(ctx, x, matrix, rho, k):
     if x is not None:
         cert = dio_mod.scalar_margin(parse_scalar(x), rho, k)
     else:
-        rows = [
-            [parse_scalar(e) if isinstance(e, str) else as_scalar(e) for e in row]
-            for row in json.loads(matrix)
-        ]
-        cert = dio_mod.matrix_margin(rows, rho, k)
+        cert = dio_mod.matrix_margin(_parse_matrix(matrix), rho, k)
     return _emit(ctx, cert.to_json())
 
 
@@ -214,11 +209,7 @@ def dio_fit(ctx, x, matrix, k):
     if x is not None:
         fit = dio_mod.exponent_fit(parse_scalar(x), k)
     else:
-        rows = [
-            [parse_scalar(e) if isinstance(e, str) else as_scalar(e) for e in row]
-            for row in json.loads(matrix)
-        ]
-        fit = dio_mod.exponent_fit(rows, k)
+        fit = dio_mod.exponent_fit(_parse_matrix(matrix), k)
     rows_out = [["k", "dist"]] + [[" ".join(map(str, kk)), d] for kk, d in fit.records]
     return _emit(ctx, fit.to_json(), rows=rows_out)
 
@@ -272,7 +263,11 @@ def _complex_nested(arr):
 
 
 def _nested_complex(obj):
+    if not isinstance(obj, list) or not obj:
+        raise ValueError("samples must be nonempty nested lists of [re, im] pairs")
     if isinstance(obj[0], (int, float)):
+        if len(obj) != 2:
+            raise ValueError(f"sample {obj!r} is not an [re, im] pair")
         return complex(obj[0], obj[1])
     return [_nested_complex(sub) for sub in obj]
 
@@ -328,7 +323,7 @@ def fol():
 @click.option("--json", "inline", default=None)
 @click.pass_context
 def fol_d(ctx, p, q, slope, file, inline):
-    F = _foliation_from_opts(p, q, slope)
+    F = LinearFoliation(p, q, _parse_matrix(slope))
     form = LeafwiseForm.from_json(F, _load_json_arg(file, inline, "form"))
     return _emit(ctx, fol_mod.leafwise_d(form).to_json())
 
@@ -339,7 +334,7 @@ def fol_d(ctx, p, q, slope, file, inline):
 @click.option("--json", "inline", default=None)
 @click.pass_context
 def fol_restrict(ctx, p, q, slope, file, inline):
-    F = _foliation_from_opts(p, q, slope)
+    F = LinearFoliation(p, q, _parse_matrix(slope))
     form = AmbientForm.from_json(F.dims, _load_json_arg(file, inline, "ambient form"))
     return _emit(ctx, fol_mod.restrict(form, F).to_json())
 
@@ -349,7 +344,7 @@ def fol_restrict(ctx, p, q, slope, file, inline):
 @click.option("--xi", required=True, help="comma-separated covector entries")
 @click.pass_context
 def fol_iota(ctx, p, q, slope, xi):
-    F = _foliation_from_opts(p, q, slope)
+    F = LinearFoliation(p, q, _parse_matrix(slope))
     return _emit(ctx, fol_mod.iota_form(_parse_floats(xi), F).to_json())
 
 
@@ -359,7 +354,7 @@ def fol_iota(ctx, p, q, slope, xi):
 @click.option("--json", "inline", default=None)
 @click.pass_context
 def fol_h1(ctx, p, q, slope, file, inline):
-    F = _foliation_from_opts(p, q, slope)
+    F = LinearFoliation(p, q, _parse_matrix(slope))
     form = LeafwiseForm.from_json(F, _load_json_arg(file, inline, "1-form"))
     res = fol_mod.solve_h1(form, F, tol=_tol(ctx, 1e-9))
     if isinstance(res, SmallDivisorDiagnostic):
@@ -373,7 +368,7 @@ def fol_h1(ctx, p, q, slope, file, inline):
 @click.option("--json", "inline", default=None)
 @click.pass_context
 def fol_minwitness(ctx, p, q, slope, file, inline):
-    F = _foliation_from_opts(p, q, slope)
+    F = LinearFoliation(p, q, _parse_matrix(slope))
     form = LeafwiseForm.from_json(F, _load_json_arg(file, inline, "top form"))
     res = fol_mod.minimizability_witness(form, F, tol=_tol(ctx, 1e-9))
     if isinstance(res, SmallDivisorDiagnostic):
@@ -585,7 +580,7 @@ def lie_ce(ctx, file, inline):
 @click.pass_context
 def lie_mc(ctx, file, inline, p, q, slope):
     obj = _load_json_arg(file, inline, "valued form")
-    F = _foliation_from_opts(p, q, slope)
+    F = LinearFoliation(p, q, _parse_matrix(slope))
     spec = LieAlgebraSpec.from_json(obj["algebra"])
     comps = [LeafwiseForm.from_json(F, fo) for fo in obj["components"]]
     res = lie_mod.maurer_cartan_residual(comps, spec)

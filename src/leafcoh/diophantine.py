@@ -12,14 +12,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath
 
 from .errors import DimensionError, EmptyRequestError, InsufficientDataError
-from .exact import ExactCoeff
+from .exact import ExactCoeff, _exact_dot, _float_dot
 from .scalars import (
-    QuadraticIrrational,
+    _MP_DPS,
+    ApproximateReal,
     Rational,
     RealScalar,
     as_scalar,
@@ -98,17 +98,10 @@ def continued_fraction(x: RealScalar, n: int) -> ContinuedFraction:
     return ContinuedFraction(quotients, convergents, terminated)
 
 
-def _exact_circle_distance(x: RealScalar, k: int):
-    """||k x|| as an exact object (Fraction or QuadraticIrrational) or float."""
-    return x.times_int(k).circle_distance()
-
-
-def _distance_to_float(d) -> float:
-    if isinstance(d, Fraction):
-        return float(d)
-    if isinstance(d, QuadraticIrrational):
-        return d.to_float()
-    return float(d)
+def _scalar_distance(x: RealScalar, k: int) -> tuple[float, bool]:
+    """||k x|| as a float, and whether k x is exactly an integer."""
+    d = x.times_int(k).circle_distance()
+    return d.to_float(), d.is_zero()
 
 
 def scalar_margin(x: RealScalar, rho: float, K: int) -> DiophantineCertificate:
@@ -126,10 +119,10 @@ def scalar_margin(x: RealScalar, rho: float, K: int) -> DiophantineCertificate:
     best = math.inf
     best_k = None
     for k in range(1, K + 1):
-        d = _exact_circle_distance(x, k)
-        if isinstance(d, Fraction) and d == 0:
+        dist, zero = _scalar_distance(x, k)
+        if zero:
             return DiophantineCertificate(float(rho), 0.0, K, (k,), x.is_exact)
-        val = _distance_to_float(d) * float(k) ** float(rho)
+        val = dist * float(k) ** float(rho)
         if val < best:
             best, best_k = val, k
     return DiophantineCertificate(float(rho), best, K, (best_k,), x.is_exact)
@@ -137,8 +130,7 @@ def scalar_margin(x: RealScalar, rho: float, K: int) -> DiophantineCertificate:
 
 def scalar_margin_at(x: RealScalar, k: int, rho: float) -> float:
     """Re-evaluate the margin summand at a single k (certificate audit)."""
-    x = as_scalar(x)
-    return _distance_to_float(_exact_circle_distance(x, k)) * float(k) ** float(rho)
+    return _scalar_distance(as_scalar(x), k)[0] * float(k) ** float(rho)
 
 
 def _lattice_ball(q: int, K: int):
@@ -154,18 +146,6 @@ def _lattice_ball(q: int, K: int):
         yield k
 
 
-def _row_dot(row, k):
-    """Exact or float dot product of a row of scalars with an integer vector."""
-    if all(s.is_exact for s in row):
-        total = ExactCoeff({})
-        for s, ki in zip(row, k):
-            if ki == 0:
-                continue
-            total = total + ExactCoeff.from_scalar(s) * ki
-        return total
-    return sum(s.to_float() * ki for s, ki in zip(row, k))
-
-
 def _exactcoeff_circle_distance_sq(v: ExactCoeff):
     """Exact squared distance of an ExactCoeff real value to the nearest integer.
 
@@ -176,28 +156,49 @@ def _exactcoeff_circle_distance_sq(v: ExactCoeff):
     # one radical at most: exact floor through the scalar it represents
     if len(set(v.terms) - {(1, 0)}) <= 1:
         dist = v.to_scalar().circle_distance()
-        if isinstance(dist, Fraction):
-            return dist == 0, ExactCoeff.from_fraction(dist * dist)
         dc = ExactCoeff.from_scalar(dist)
-        return False, dc * dc
+        return dist.is_zero(), dc * dc
     # several radicals: exact floor via 50-digit interval midpoint is safe at
     # desk scale; squared distance returned exactly relative to that floor
-    fl = int(mpmath.floor(_exactcoeff_to_mpf(v)))
+    fl = int(mpmath.floor(v.to_mpf()))
     frac = v - ExactCoeff.from_fraction(fl)
-    ffl = _exactcoeff_to_mpf(frac)
-    if ffl > 0.5:
+    if frac.to_mpf() > 0.5:
         frac = ExactCoeff.from_fraction(1) - frac
     return False, frac * frac
 
 
-def _exactcoeff_to_mpf(v: ExactCoeff):
-    with mpmath.workdps(50):
-        total = mpmath.mpf(0)
-        for (d, j), g in v.terms.items():
-            if j != 0 or g.im != 0:
-                raise ValueError("not a real tau-free value")
-            total += (mpmath.mpf(g.re.numerator) / g.re.denominator) * mpmath.sqrt(d)
-        return total
+def _lattice_distance(rows, k) -> tuple[float, bool]:
+    """Euclidean distance from B k to the nearest point of Z^p, and whether
+    B k lies exactly on Z^p.
+
+    An exact row adds its squared distance in the exact ring and a float
+    row in float64.  With no exact row the distance is the float square
+    root of the float sum; otherwise the exact sum is read out at 50 digits,
+    the float sum is added, and one square root is rounded to float once.
+    """
+    exact_sq = None
+    float_sq = 0.0
+    all_zero = True
+    for row in rows:
+        if all(s.is_exact for s in row):
+            zero, dsq = _exactcoeff_circle_distance_sq(_exact_dot(k, row))
+            exact_sq = dsq if exact_sq is None else exact_sq + dsq
+        else:
+            d = ApproximateReal(_float_dot(k, row)).circle_distance().to_float()
+            zero = d == 0.0
+            float_sq += d * d
+        all_zero = all_zero and zero
+    if exact_sq is None:
+        # a lone row keeps its distance: d * d underflows below 2^-511
+        return (d if len(rows) == 1 else math.sqrt(float_sq)), all_zero
+    with mpmath.workdps(_MP_DPS):
+        total = exact_sq.to_mpf() + float_sq
+    return float(mpmath.sqrt(total)), all_zero
+
+
+def _ball_by_norm(q: int, K: int) -> list:
+    """The lattice ball in the order of the searches: by |k|, then by k."""
+    return sorted(_lattice_ball(q, K), key=lambda t: (sum(v * v for v in t), t))
 
 
 def matrix_margin(B, rho: float, K: int) -> DiophantineCertificate:
@@ -224,41 +225,11 @@ def matrix_margin(B, rho: float, K: int) -> DiophantineCertificate:
 
     best = math.inf
     best_k = None
-    for k in sorted(_lattice_ball(q, K), key=lambda t: (sum(v * v for v in t), t)):
-        norm = math.sqrt(sum(v * v for v in k))
-        if p == 1:
-            val_row = _row_dot(rows[0], k)
-            if isinstance(val_row, ExactCoeff):
-                zero, dsq = _exactcoeff_circle_distance_sq(val_row)
-                if zero:
-                    return DiophantineCertificate(float(rho), 0.0, K, k, exact)
-                dist = float(mpmath.sqrt(_exactcoeff_to_mpf(dsq)))
-            else:
-                fr = val_row - math.floor(val_row)
-                dist = min(fr, 1.0 - fr)
-        else:
-            total_sq_exact = ExactCoeff({})
-            total_sq_float = 0.0
-            all_zero = True
-            for row in rows:
-                val_row = _row_dot(row, k)
-                if isinstance(val_row, ExactCoeff):
-                    zero, dsq = _exactcoeff_circle_distance_sq(val_row)
-                    if not zero:
-                        all_zero = False
-                    total_sq_exact = total_sq_exact + dsq
-                else:
-                    fr = val_row - math.floor(val_row)
-                    d = min(fr, 1.0 - fr)
-                    if d != 0.0:
-                        all_zero = False
-                    total_sq_float += d * d
-            if all_zero:
-                return DiophantineCertificate(float(rho), 0.0, K, k, exact)
-            dist = float(
-                mpmath.sqrt(_exactcoeff_to_mpf(total_sq_exact) + mpmath.mpf(total_sq_float))
-            )
-        val = dist * norm ** float(rho)
+    for k in _ball_by_norm(q, K):
+        dist, zero = _lattice_distance(rows, k)
+        if zero:
+            return DiophantineCertificate(float(rho), 0.0, K, k, exact)
+        val = dist * math.sqrt(sum(v * v for v in k)) ** float(rho)
         if val < best:
             best, best_k = val, k
     return DiophantineCertificate(float(rho), best, K, tuple(best_k), exact)
@@ -289,29 +260,20 @@ def exponent_fit(x_or_B, K: int) -> ExponentFit:
     """
     if K < 10:
         raise EmptyRequestError("exponent fit needs K >= 10")
-    records: list[tuple[tuple[int, ...], float]] = []
     if isinstance(x_or_B, (list, tuple)):
         rows = [[as_scalar(e) for e in row] for row in x_or_B]
-        q = len(rows[0])
-        best = math.inf
-        for k in sorted(_lattice_ball(q, K), key=lambda t: (sum(v * v for v in t), t)):
-            dist, zero = _matrix_distance(rows, k)
-            if zero:
-                return ExponentFit(None, records, True, tuple(k))
-            if dist < best:
-                best = dist
-                records.append((tuple(k), dist))
+        points = ((k, *_lattice_distance(rows, k)) for k in _ball_by_norm(len(rows[0]), K))
     else:
         x = as_scalar(x_or_B)
-        best = math.inf
-        for k in range(1, K + 1):
-            d = _exact_circle_distance(x, k)
-            if isinstance(d, Fraction) and d == 0:
-                return ExponentFit(None, records, True, (k,))
-            dist = _distance_to_float(d)
-            if dist < best:
-                best = dist
-                records.append(((k,), dist))
+        points = (((k,), *_scalar_distance(x, k)) for k in range(1, K + 1))
+    records: list[tuple[tuple[int, ...], float]] = []
+    best = math.inf
+    for k, dist, zero in points:
+        if zero:
+            return ExponentFit(None, records, True, k)
+        if dist < best:
+            best = dist
+            records.append((k, dist))
     if len(records) < 2:
         raise InsufficientDataError("fewer than two record minima; cannot fit")
     xs = [math.log(math.sqrt(sum(v * v for v in k))) for k, _ in records]
@@ -323,22 +285,3 @@ def exponent_fit(x_or_B, K: int) -> ExponentFit:
     sxy = sum((u - mx) * (w - my) for u, w in zip(xs, ys))
     slope = sxy / sxx
     return ExponentFit(-slope, records, False, None)
-
-
-def _matrix_distance(rows, k) -> tuple[float, bool]:
-    total = mpmath.mpf(0)
-    all_zero = True
-    for row in rows:
-        val_row = _row_dot(row, k)
-        if isinstance(val_row, ExactCoeff):
-            zero, dsq = _exactcoeff_circle_distance_sq(val_row)
-            if not zero:
-                all_zero = False
-            total += _exactcoeff_to_mpf(dsq)
-        else:
-            fr = val_row - math.floor(val_row)
-            d = min(fr, 1.0 - fr)
-            if d != 0.0:
-                all_zero = False
-            total += d * d
-    return float(mpmath.sqrt(total)), all_zero

@@ -23,10 +23,12 @@ import mpmath
 
 from .errors import ExactnessError
 from .scalars import (
+    _MP_DPS,
     ApproximateReal,
     QuadraticIrrational,
     Rational,
     RealScalar,
+    _fraction_to_mpf,
     _squarefree_split,
 )
 
@@ -73,6 +75,9 @@ class GaussianRational:
 
     def to_complex(self) -> complex:
         return complex(float(self.re), float(self.im))
+
+    def to_mpc(self):
+        return _fraction_to_mpf(self.re) + 1j * _fraction_to_mpf(self.im)
 
     def __eq__(self, other):
         return isinstance(other, GaussianRational) and self.re == other.re and self.im == other.im
@@ -240,11 +245,18 @@ class ExactCoeff:
             tau = 2 * mpmath.pi
             total = mpmath.mpc(0)
             for (d, j), g in self.terms.items():
-                v = mpmath.mpf(g.re.numerator) / g.re.denominator + 1j * (
-                    mpmath.mpf(g.im.numerator) / g.im.denominator
-                )
-                total += v * mpmath.sqrt(d) * tau**j
+                total += g.to_mpc() * mpmath.sqrt(d) * tau**j
             return complex(total)
+
+    def to_mpf(self):
+        """The value as an mpf at 50 digits; it must be real and tau-free."""
+        with mpmath.workdps(_MP_DPS):
+            total = mpmath.mpf(0)
+            for (d, j), g in self.terms.items():
+                if j != 0 or g.im != 0:
+                    raise ValueError("not a real tau-free value")
+                total += _fraction_to_mpf(g.re) * mpmath.sqrt(d)
+            return total
 
     def __eq__(self, other):
         return isinstance(other, ExactCoeff) and self.terms == other.terms
@@ -254,6 +266,30 @@ class ExactCoeff:
 
     def __repr__(self):
         return f"ExactCoeff({self.terms!r})"
+
+
+def _exact_dot(k: tuple, v) -> ExactCoeff:
+    """k . v in the exact ring; v holds ints, Fractions or exact scalars."""
+    total = ExactCoeff({})
+    for ki, vi in zip(k, v):
+        if ki:
+            if isinstance(vi, (int, Fraction)):
+                total = total + ExactCoeff.from_fraction(vi * ki)
+            else:
+                total = total + ExactCoeff.from_scalar(vi) * ki
+    return total
+
+
+def _float_dot(k: tuple, v) -> float:
+    """k . v in float64, summed in index order; entries with k_i = 0 add
+    nothing.  v holds plain numbers or scalars."""
+    total = 0.0
+    for ki, vi in zip(k, v):
+        if ki:
+            if isinstance(vi, (Rational, QuadraticIrrational, ApproximateReal)):
+                vi = vi.to_float()
+            total += ki * float(vi)
+    return total
 
 
 def _cyclotomic_polys(n: int) -> dict[int, list[int]]:
@@ -397,17 +433,8 @@ class PhaseCoeff:
             total = mpmath.mpc(0)
             for n, g in self.terms.items():
                 # exact argument reduction mod 1 before exponentiation
-                nl = self.lam.times_int(n)
-                fr = nl.frac()
-                if isinstance(fr, Fraction):
-                    arg = mpmath.mpf(fr.numerator) / fr.denominator
-                else:
-                    arg = fr.to_mpf()
-                ph = mpmath.expjpi(2 * arg)
-                v = mpmath.mpf(g.re.numerator) / g.re.denominator + 1j * (
-                    mpmath.mpf(g.im.numerator) / g.im.denominator
-                )
-                total += v * ph
+                ph = mpmath.expjpi(2 * self.lam.times_int(n).frac().to_mpf())
+                total += g.to_mpc() * ph
             return total
 
     def to_complex(self) -> complex:

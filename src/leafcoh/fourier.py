@@ -19,8 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import AmbiguityError, DimensionError, EmptySupportError, ExactnessError
-from .exact import ExactCoeff, PhaseCoeff
-from .scalars import ApproximateReal, QuadraticIrrational, Rational
+from .exact import ExactCoeff, PhaseCoeff, _exact_dot, _float_dot
 
 TWO_PI = 2.0 * math.pi
 
@@ -243,36 +242,6 @@ def _num(v) -> float:
 
 # ----------------------------------------------------------------------
 # directional derivative along a constant vector field
-
-
-def _exact_dot(k: tuple, v) -> ExactCoeff:
-    total = ExactCoeff({})
-    for ki, vi in zip(k, v):
-        if ki == 0:
-            continue
-        if isinstance(vi, (int, Fraction)):
-            total = total + ExactCoeff.from_fraction(Fraction(vi) * ki)
-        elif isinstance(vi, Rational):
-            total = total + ExactCoeff.from_fraction(vi.value * ki)
-        elif isinstance(vi, QuadraticIrrational):
-            total = total + ExactCoeff.from_scalar(vi) * ki
-        else:
-            raise ExactnessError("exact derivative requires exact direction entries")
-    return total
-
-
-def _float_dot(k: tuple, v) -> float:
-    total = 0.0
-    for ki, vi in zip(k, v):
-        if ki == 0:
-            continue
-        if isinstance(vi, (Rational, QuadraticIrrational, ApproximateReal)):
-            total += ki * vi.to_float()
-        elif isinstance(vi, Fraction):
-            total += ki * float(vi)
-        else:
-            total += ki * float(vi)
-    return total
 
 
 def frame_derivative(f: TrigPoly, v) -> TrigPoly:

@@ -32,7 +32,7 @@ from .errors import (
     NotClosedError,
     ObstructionError,
 )
-from .exact import ExactCoeff
+from .exact import ExactCoeff, _exact_dot, _float_dot
 from .fourier import TrigPoly, frame_derivative, _to_complex
 from .scalars import as_scalar
 
@@ -71,20 +71,6 @@ class LinearFoliation:
         for j in range(self.q):
             v[self.p + j] = self.B[i][j].to_float()
         return v
-
-    def divisor_float(self, mode: tuple, i: int) -> float:
-        total = float(mode[i])
-        for j in range(self.q):
-            total += self.B[i][j].to_float() * mode[self.p + j]
-        return total
-
-    def divisor_exact(self, mode: tuple, i: int) -> ExactCoeff:
-        total = ExactCoeff.from_fraction(mode[i])
-        for j in range(self.q):
-            n = mode[self.p + j]
-            if n:
-                total = total + ExactCoeff.from_scalar(self.B[i][j]) * n
-        return total
 
     def to_json(self) -> dict:
         return {
@@ -382,7 +368,8 @@ def _divide_small_divisors(modes, divisor, tol: float):
 
 
 def _frame_divisor(F: LinearFoliation, mode: tuple, exact: bool):
-    """Largest frame divisor m_i + (B n)_i of a mode, ties to the smallest i.
+    """Largest frame divisor m_i + (B n)_i = mode . X_i of a mode, ties to
+    the smallest i.
 
     Returns (i, d, size, exactly_zero).  The size and the zero test (every
     frame divisor vanishes) are exact whenever F is; d is an ExactCoeff
@@ -393,17 +380,17 @@ def _frame_divisor(F: LinearFoliation, mode: tuple, exact: bool):
     all_zero = True
     for i in range(F.p):
         if F_exact:
-            d = F.divisor_exact(mode, i)
+            d = _exact_dot(mode, F.frame_vector(i, True))
             size, zero = abs(d.to_complex().real), d.is_zero()
         else:
-            d = F.divisor_float(mode, i)
+            d = _float_dot(mode, F.frame_vector(i, False))
             size, zero = abs(d), d == 0.0
         all_zero = all_zero and zero
         if best is None or size > best[2]:
             best = (i, d, size)
     i, d, size = best
     if F_exact and not exact:
-        d = F.divisor_float(mode, i)
+        d = _float_dot(mode, F.frame_vector(i, False))
     return i, d, size, all_zero
 
 

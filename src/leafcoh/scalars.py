@@ -5,6 +5,12 @@ Three representations are supported: rationals p/q, quadratic irrationals
 The exact kinds support exact floor, exact distance to the nearest integer,
 and exact sign tests, which is what the small-divisor searches need near the
 search radius where float64 cancellation is fatal.
+
+``frac()`` and ``circle_distance()`` return a scalar of the receiver's kind
+(a Rational for a Rational, an ApproximateReal for an ApproximateReal), so
+callers never branch on the kind: they read the result through
+``is_zero()``, ``to_float()`` or ``to_mpf()``.  ``_fraction_to_mpf`` is the
+one conversion of a Fraction to an mpf.
 """
 
 from __future__ import annotations
@@ -18,6 +24,11 @@ import mpmath
 from .errors import ExactnessError
 
 _MP_DPS = 50
+
+
+def _fraction_to_mpf(x: Fraction):
+    """x as an mpf rounded once at the working precision."""
+    return mpmath.mpf(x.numerator) / x.denominator
 
 
 def _squarefree_split(n: int) -> tuple[int, int]:
@@ -82,13 +93,13 @@ class Rational:
     def floor(self) -> int:
         return self.value.numerator // self.value.denominator
 
-    def frac(self) -> Fraction:
-        return self.value - self.floor()
+    def frac(self) -> "Rational":
+        return Rational(self.value - self.floor())
 
-    def circle_distance(self) -> Fraction:
+    def circle_distance(self) -> "Rational":
         """Exact distance from this value to the nearest integer."""
-        f = self.frac()
-        return min(f, 1 - f)
+        f = self.value - self.floor()
+        return Rational(min(f, 1 - f))
 
     def is_zero(self) -> bool:
         return self.value == 0
@@ -100,7 +111,7 @@ class Rational:
         return float(self.value)
 
     def to_mpf(self):
-        return mpmath.mpf(self.value.numerator) / self.value.denominator
+        return _fraction_to_mpf(self.value)
 
     def to_fraction(self) -> Fraction:
         return self.value
@@ -243,12 +254,12 @@ class ApproximateReal:
     def floor(self) -> int:
         return math.floor(self.value)
 
-    def frac(self) -> float:
-        return self.value - math.floor(self.value)
+    def frac(self) -> "ApproximateReal":
+        return ApproximateReal(self.value - math.floor(self.value))
 
-    def circle_distance(self) -> float:
-        f = self.frac()
-        return min(f, 1.0 - f)
+    def circle_distance(self) -> "ApproximateReal":
+        f = self.value - math.floor(self.value)
+        return ApproximateReal(min(f, 1.0 - f))
 
     def is_zero(self) -> bool:
         return self.value == 0.0

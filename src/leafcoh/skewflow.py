@@ -18,7 +18,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -30,7 +29,7 @@ from .errors import (
     NonpositiveError,
     ObstructionError,
 )
-from .exact import ExactCoeff, PhaseCoeff
+from .exact import ExactCoeff, PhaseCoeff, _exact_dot, _float_dot
 from .fourier import TrigPoly, frame_derivative, inverse_grid, _to_complex
 from .leafwise import SmallDivisorDiagnostic, _divide_small_divisors
 from .scalars import Rational, RealScalar, as_scalar
@@ -64,12 +63,8 @@ class KroneckerFlowSpec:
     def frequency(self, k: tuple):
         """k . alpha, exact when the direction is exact."""
         if all(a.is_exact for a in self.alpha):
-            total = ExactCoeff({})
-            for ki, ai in zip(k, self.alpha):
-                if ki:
-                    total = total + ExactCoeff.from_scalar(ai) * ki
-            return total
-        return sum(ki * ai.to_float() for ki, ai in zip(k, self.alpha))
+            return _exact_dot(k, self.alpha)
+        return _float_dot(k, self.alpha)
 
 
 # ----------------------------------------------------------------------
@@ -80,18 +75,13 @@ def _phase_of_multiple(alpha: RealScalar, j: int) -> complex:
     """e^{2 pi i j alpha}, reducing j*alpha mod 1 exactly for exact alpha."""
     if j == 0:
         return 1.0 + 0.0j
-    if alpha.is_exact:
-        fr = alpha.times_int(j).frac()
-        if isinstance(fr, Fraction):
-            return cmath.exp(2j * math.pi * float(fr))
-        return cmath.exp(2j * math.pi * fr.to_float())
-    return cmath.exp(2j * math.pi * ((j * alpha.to_float()) % 1.0))
+    return cmath.exp(2j * math.pi * alpha.times_int(j).frac().to_float())
 
 
 def _circle_divisor(alpha: RealScalar, j: int):
-    """e^{2 pi i j alpha} - 1, and whether j alpha is exactly an integer."""
-    exactly_zero = alpha.is_exact and alpha.times_int(j).frac() == 0
-    return _phase_of_multiple(alpha, j) - 1.0, exactly_zero
+    """e^{2 pi i j alpha} - 1, and whether j alpha is an integer (exactly for
+    exact alpha, in float64 for a float one)."""
+    return _phase_of_multiple(alpha, j) - 1.0, alpha.times_int(j).frac().is_zero()
 
 
 def _flow_frequency(flow: "KroneckerFlowSpec", k: tuple):
@@ -386,9 +376,7 @@ def orbit_integral(f: TrigPoly, flow: KroneckerFlowSpec, x0, T: float) -> comple
                 total += base * T
                 continue
             with mpmath.workdps(50):
-                w = mpmath.mpf(0)
-                for (d, _), gcoef in freq.terms.items():
-                    w += (mpmath.mpf(gcoef.re.numerator) / gcoef.re.denominator) * mpmath.sqrt(d)
+                w = freq.to_mpf()
                 theta = mpmath.mpf(T) * w
                 phase = mpmath.expjpi(2 * (theta - mpmath.floor(theta)))
                 factor = complex((phase - 1) / (2j * mpmath.pi * w))
@@ -467,21 +455,11 @@ def _rotation_sum_factor(alphas, k, n: int) -> complex:
     """(1/n) sum_{j<n} e^{2 pi i j (k.alpha)}."""
     # compute k.alpha mod 1 with exact reduction where possible
     theta = 0.0
-    exact_zero = True
     for ki, a in zip(k, alphas):
-        if ki == 0:
-            continue
-        if a.is_exact:
-            fr = a.times_int(ki).frac()
-            fv = float(fr) if isinstance(fr, Fraction) else fr.to_float()
-            if not (isinstance(fr, Fraction) and fr == 0):
-                exact_zero = False
-            theta += fv
-        else:
-            exact_zero = False
-            theta += (a.to_float() * ki) % 1.0
+        if ki:
+            theta += a.times_int(ki).frac().to_float()
     theta %= 1.0
-    if exact_zero or theta == 0.0:
+    if theta == 0.0:
         return 1.0
     z = cmath.exp(2j * math.pi * theta)
     return (z**n - 1.0) / (n * (z - 1.0))
@@ -690,16 +668,7 @@ def katok_obstructions(
 def _phase_mpc(lam: RealScalar, j: int):
     if j == 0:
         return mpmath.mpc(1)
-    if lam.is_exact:
-        fr = lam.times_int(j).frac()
-        arg = (
-            mpmath.mpf(fr.numerator) / fr.denominator
-            if isinstance(fr, Fraction)
-            else fr.to_mpf()
-        )
-    else:
-        arg = mpmath.mpf((j * lam.to_float()) % 1.0)
-    return mpmath.expjpi(2 * arg)
+    return mpmath.expjpi(2 * lam.times_int(j).frac().to_mpf())
 
 
 def _coeff_mpc(c, dps: int):

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .exact import ExactCoeff
 from .leafwise import LinearFoliation
-from .scalars import ApproximateReal, QuadraticIrrational, Rational
+from .scalars import ApproximateReal, QuadraticIrrational, Rational, _fraction_to_mpf
 
 _EIG_DPS = 60
 
@@ -162,6 +162,19 @@ class ToralAutomorphism:
         }
 
 
+def _int_matrix(matrix) -> list[list[int]]:
+    """The entries of a nonempty matrix as ints.  A bool entry or one that
+    is not integral (1.5, inf) raises ValueError instead of being truncated."""
+    if len(matrix) == 0:
+        raise ValueError("matrix must be nonempty")
+    for row in matrix:
+        for v in row:
+            integral = v.is_integer() if isinstance(v, float) else int(v) == v
+            if isinstance(v, bool) or not integral:
+                raise ValueError(f"matrix entry {v!r} is not an integer")
+    return [[int(v) for v in row] for row in matrix]
+
+
 def certify_hyperbolic(matrix, cert_tol: float = 1e-8) -> ToralAutomorphism:
     """Certify an integer matrix as a hyperbolic torus automorphism.
 
@@ -169,7 +182,7 @@ def certify_hyperbolic(matrix, cert_tol: float = 1e-8) -> ToralAutomorphism:
     exact characteristic polynomial; the certificate demands every modulus
     to clear the band [1 - tol, 1 + tol] by more than the root error bound.
     """
-    rows = [[int(v) for v in row] for row in matrix]
+    rows = _int_matrix(matrix)
     n = len(rows)
     p = char_poly(rows)
     det = int_det(rows)
@@ -186,7 +199,7 @@ def certify_hyperbolic(matrix, cert_tol: float = 1e-8) -> ToralAutomorphism:
         # isolate roots of each squarefree factor so multiplicities cannot
         # stall the iteration
         for factor, mult in squarefree_factors(p):
-            coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(factor)]
+            coeffs = [_fraction_to_mpf(c) for c in reversed(factor)]
             if len(coeffs) == 1:
                 continue
             frts, ferr = mpmath.polyroots(coeffs, maxsteps=200, extraprec=120, error=True)
@@ -449,7 +462,7 @@ def char_poly_irreducible(matrix, max_degree: int = 6) -> bool:
     high-precision roots and verified by exact integer polynomial division,
     so the decision itself is exact.
     """
-    rows = [[int(v) for v in row] for row in matrix]
+    rows = _int_matrix(matrix)
     n = len(rows)
     if n > max_degree:
         raise UnsupportedDegreeError(f"degree {n} above the exact window {max_degree}")

@@ -67,6 +67,35 @@ def test_margin_and_fit():
     assert 0.8 <= json.loads(out)["rho_hat"] <= 1.2
 
 
+def test_float_fit_reports_resonance():
+    # 2 * 0.5 is an integer: resonance, as for --x 1/2, not log(0)
+    code, out = run_main(["dio", "fit", "--x", "0.5", "--k", "100"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["resonant"] is True and payload["resonance_k"] == [2]
+
+
+def test_malformed_matrices_and_samples_exit_1(capsys):
+    for args in (
+        ["toral", "wang", "--matrix", "[]"],
+        ["toral", "irred", "--matrix", "[]"],
+        ["toral", "wang", "--matrix", "[[1.5,0],[0,1]]"],
+        ["toral", "wang", "--matrix", "[[Infinity,1],[1,1]]"],
+        ["toral", "certify", "--matrix", "[[true,1],[1,1]]"],
+        ["fn", "dft", "--json", "[]"],
+        ["fn", "dft", "--json", "[[1],[0]]"],
+    ):
+        code, out = run_main(args)
+        err = capsys.readouterr().err
+        assert code == 1 and out == "", args
+        assert "bad input" in err and "Traceback" not in err, args
+    # integral floats are still integers; a ragged matrix is still a domain error
+    code, out = run_main(["toral", "wang", "--matrix", "[[2.0,1],[1,1]]"])
+    assert code == 0 and json.loads(out)["dims"] == [1, 1, 0]
+    code, out = run_main(["toral", "wang", "--matrix", "[[2,1]]"])
+    assert code == 2 and json.loads(out)["error"] == "DimensionError"
+
+
 def test_matrix_margin_cli():
     code, out = run_main(
         ["dio", "margin", "--matrix", '[["quadratic:(1-sqrt5)/2"]]', "--rho", "1", "--k", "50"]

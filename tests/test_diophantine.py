@@ -193,6 +193,43 @@ def test_exponent_fit_matrix_input():
     assert all(len(k) == 1 for k, _ in fit.records)
 
 
+def _oracle_lattice_distance(rows, k):
+    """Distance from B k to Z^p at 60 digits, rounded to float once."""
+    with mpmath.workdps(60):
+        total = mpmath.mpf(0)
+        for row in rows:
+            v = mpmath.mpf(0)
+            for s, ki in zip(row, k):
+                if isinstance(s, Rational):
+                    v += mpmath.mpf(s.p) / s.q * ki
+                else:
+                    v += (s.a + s.b * mpmath.sqrt(s.d)) / s.c * ki
+            total += (v - mpmath.nint(v)) ** 2
+        return float(mpmath.sqrt(total))
+
+
+def test_matrix_distances_are_correctly_rounded():
+    # two exact rows: their squared distances add exactly and one square
+    # root is rounded, so margin and records match the 60-digit oracle bit
+    # for bit
+    rows = [[Rational(1, 3)], [sqrt_scalar(7)]]
+    cert = matrix_margin(rows, 2.0, 50)
+    k = cert.witness_k
+    norm = math.sqrt(sum(v * v for v in k))
+    assert cert.margin == _oracle_lattice_distance(rows, k) * norm**2.0
+    rows = [[sqrt_scalar(2)], [sqrt_scalar(3)]]
+    fit = exponent_fit(rows, 60)
+    assert len(fit.records) >= 5
+    for k, dist in fit.records:
+        assert dist == _oracle_lattice_distance(rows, k), k
+
+
+def test_exponent_fit_1x1_matrix_matches_scalar():
+    for x in (golden_ratio_conjugate(), sqrt_scalar(7), QuadraticIrrational(1, 2, 3, 7),
+              Rational(22, 307)):
+        assert exponent_fit([[x]], 300).records == exponent_fit(x, 300).records, x
+
+
 def test_exponent_fit_insufficient_records():
     # ||k x|| grows over the whole window for a tiny slope, so k = 1 stays
     # the only record

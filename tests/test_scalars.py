@@ -52,8 +52,24 @@ def test_circle_distance_exact_vs_float():
 
 def test_rational_distance():
     r = Rational(3, 7)
-    assert r.times_int(7).circle_distance() == 0
-    assert r.times_int(2).circle_distance() == Fraction(1, 7)
+    assert r.times_int(7).circle_distance() == Rational(0)
+    assert r.times_int(2).circle_distance() == Rational(1, 7)
+
+
+def test_frac_and_distance_keep_the_kind():
+    cases = [
+        (Rational(17, 7), Rational(3, 7), Rational(3, 7)),
+        (Rational(-5, 3), Rational(1, 3), Rational(1, 3)),
+        (QuadraticIrrational(3, 1, 2, 5), QuadraticIrrational(-1, 1, 2, 5),
+         QuadraticIrrational(3, -1, 2, 5)),
+        (ApproximateReal(2.75), ApproximateReal(0.75), ApproximateReal(0.25)),
+    ]
+    for x, frac, dist in cases:
+        assert type(x.frac()) is type(x) and x.frac() == frac
+        assert type(x.circle_distance()) is type(x) and x.circle_distance() == dist
+    # the zero test reads the same through every kind
+    assert Rational(3).frac().is_zero() and ApproximateReal(3.0).circle_distance().is_zero()
+    assert not golden_ratio_conjugate().circle_distance().is_zero()
 
 
 def test_quadratic_arithmetic():

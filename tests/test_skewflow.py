@@ -60,6 +60,18 @@ def test_circle_resonance_error():
     assert (2,) in exc.value.modes
 
 
+def test_circle_float_resonance_agrees_with_flow():
+    # 3 * fl(1/3) is exactly 1.0 in float64: the circle solver reports the
+    # resonance, as the flow solver does for a float k.alpha of exactly 0.0
+    alpha = ApproximateReal(0.3333333333333333)
+    with pytest.raises(ObstructionError) as exc:
+        circle_cohom_solve(TrigPoly(1, {(-3,): 0.5, (3,): 0.5}), alpha)
+    assert exc.value.modes == [(-3,), (3,)]
+    with pytest.raises(ObstructionError):
+        flow_cohom_solve(TrigPoly(2, {(3, -1): 0.5, (-3, 1): 0.5}),
+                         KroneckerFlowSpec((alpha, Rational(1))))
+
+
 def test_circle_rational_nonresonant_ok():
     f = TrigPoly(1, {(0,): 1.0, (1,): 0.15, (-1,): 0.15})
     sol = circle_cohom_solve(f, Rational(1, 4))
