@@ -2,26 +2,37 @@
 
 A certificate records the minimum of ||k*x|| * |k|^rho over the searched
 frequency ball; it is a statement about the searched radius only, never
-about all k.  Distances to the nearest lattice point are computed exactly
-whenever the inputs are exact, because the small divisors near the search
-radius are precision critical.
+about all k.
+
+How the searches run:
+
+* Exact scalars visit only the continued-fraction denominators q_n <= K,
+  taken lazily from the one recursion behind ``continued_fraction``
+  (Lagrange's best-approximation theorem), so K = 10^30 costs about a
+  hundred steps.  Float scalars visit every k in 1..K.
+* Matrices visit the whole lattice ball 0 < |k| <= K, up to sign, ordered
+  by |k| and then by k.
+
+How distances are read out: an exact value is worked in integers as
+(a + sum b_d sqrt(d))/c; its nearest integer is certified and its float is
+correctly rounded by the one fixed-point readout ``scalars._readout``.
+Float rows and float scalars stay in float64.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
-import mpmath
-
 from .errors import DimensionError, EmptyRequestError, InsufficientDataError
-from .exact import ExactCoeff, _exact_dot, _float_dot
+from .exact import _float_dot
 from .scalars import (
-    _MP_DPS,
     ApproximateReal,
     Rational,
     RealScalar,
+    _readout,
     as_scalar,
     require_exact,
 )
@@ -61,6 +72,31 @@ class ContinuedFraction:
         }
 
 
+def _expansion(x: RealScalar):
+    """Yield (a_n, p_n, q_n) of an exact x lazily, n = 0, 1, ...
+
+    Rational input ends after its last quotient (Euclidean algorithm);
+    quadratic irrationals run forever through the exact recursion
+    x_{n+1} = 1/(x_n - a_n) inside Q(sqrt(d)).  The next complete quotient
+    is computed only when the next term is asked for.
+    """
+    pm1, pm2 = 1, 0
+    qm1, qm2 = 0, 1
+    cur = x
+    while True:
+        a = cur.floor()
+        pm2, pm1 = pm1, a * pm1 + pm2
+        qm2, qm1 = qm1, a * qm1 + qm2
+        yield a, pm1, qm1
+        if isinstance(cur, Rational):
+            rem = cur.value - a
+            if rem == 0:
+                return
+            cur = Rational(1 / rem)
+        else:
+            cur = cur.add_int(-a).inverse()
+
+
 def continued_fraction(x: RealScalar, n: int) -> ContinuedFraction:
     """Partial quotients a_0..a_{n-1} and convergents p_i/q_i of an exact x.
 
@@ -72,30 +108,25 @@ def continued_fraction(x: RealScalar, n: int) -> ContinuedFraction:
         raise EmptyRequestError("need at least one partial quotient")
     x = as_scalar(x)
     require_exact(x, "continued fraction expansion")
+    terms = list(itertools.islice(_expansion(x), n))
+    p, q = terms[-1][1:]
+    terminated = isinstance(x, Rational) and x.value * q == p
+    return ContinuedFraction([a for a, _, _ in terms], [(p, q) for _, p, q in terms], terminated)
 
-    quotients: list[int] = []
-    convergents: list[tuple[int, int]] = []
-    pm1, pm2 = 1, 0
-    qm1, qm2 = 0, 1
-    cur = x
-    terminated = False
-    for _ in range(n):
-        a = cur.floor()
-        quotients.append(a)
-        p = a * pm1 + pm2
-        q = a * qm1 + qm2
-        convergents.append((p, q))
-        pm2, pm1 = pm1, p
-        qm2, qm1 = qm1, q
-        if isinstance(cur, Rational):
-            rem = cur.value - a
-            if rem == 0:
-                terminated = True
-                break
-            cur = Rational(1 / rem)
-        else:
-            cur = cur.add_int(-a).inverse()
-    return ContinuedFraction(quotients, convergents, terminated)
+
+def _search_ks(x: RealScalar, K: int):
+    """The k in [1, K] a scalar search must visit, increasing.
+
+    For exact x these are the distinct continued-fraction denominators
+    q_n <= K: by Lagrange's best-approximation theorem ||k x|| >= ||q_n x||
+    for q_n <= k < q_{n+1}, and k^rho >= q_n^rho, so no other k holds a
+    smaller value, a smaller witness or a new record; rounding to float is
+    monotone, so the float searches agree too.  Float input visits every k.
+    """
+    if not x.is_exact:
+        return range(1, K + 1)
+    qs = itertools.takewhile(lambda q: q <= K, (q for _, _, q in _expansion(x)))
+    return list(dict.fromkeys(qs))  # q_0 = q_1 = 1 when a_1 = 1
 
 
 def _scalar_distance(x: RealScalar, k: int) -> tuple[float, bool]:
@@ -105,8 +136,11 @@ def _scalar_distance(x: RealScalar, k: int) -> tuple[float, bool]:
 
 
 def scalar_margin(x: RealScalar, rho: float, K: int) -> DiophantineCertificate:
-    """min over 1 <= k <= K of ||k x|| * k^rho with the attaining k.
+    """min over 1 <= k <= K of ||k x|| * k^rho with the smallest attaining k.
 
+    Exact input visits only the continued-fraction denominators q_n <= K
+    (see ``_search_ks``), so the search costs O(log K) steps; each distance
+    is exact and read out correctly rounded.  Float input visits every k.
     Negative k give the same values by symmetry and are not searched.  A
     margin of exactly zero is reported only when k x is exactly integral,
     which requires exact input.
@@ -118,7 +152,7 @@ def scalar_margin(x: RealScalar, rho: float, K: int) -> DiophantineCertificate:
     x = as_scalar(x)
     best = math.inf
     best_k = None
-    for k in range(1, K + 1):
+    for k in _search_ks(x, K):
         dist, zero = _scalar_distance(x, k)
         if zero:
             return DiophantineCertificate(float(rho), 0.0, K, (k,), x.is_exact)
@@ -146,54 +180,75 @@ def _lattice_ball(q: int, K: int):
         yield k
 
 
-def _exactcoeff_circle_distance_sq(v: ExactCoeff):
-    """Exact squared distance of an ExactCoeff real value to the nearest integer.
+def _row_value(k, row, c: int) -> tuple[int, dict]:
+    """k . row for exact scalars whose denominators divide c, as integers
+    (a, {d: b_d}) with k . row = (a + sum b_d sqrt(d))/c."""
+    a, terms = 0, defaultdict(int)
+    for ki, s in zip(k, row):
+        if ki and isinstance(s, Rational):
+            a += ki * s.p * (c // s.q)
+        elif ki:
+            m = ki * (c // s.c)
+            a += s.a * m
+            terms[s.d] += s.b * m
+    return a, terms
 
-    Returns (is_zero_exact, ExactCoeff of the squared distance).
+
+def _square(a: int, terms: dict) -> tuple[int, dict]:
+    """(a + sum b_d sqrt(d))^2 as (a', {f: b'_f}) with f squarefree.
+
+    For distinct squarefree d, e with g = gcd(d, e), sqrt(d e) =
+    g sqrt((d/g)(e/g)) and (d/g)(e/g) is squarefree and > 1.
     """
-    if v.is_zero():
-        return True, ExactCoeff({})
-    # one radical at most: exact floor through the scalar it represents
-    if len(set(v.terms) - {(1, 0)}) <= 1:
-        dist = v.to_scalar().circle_distance()
-        dc = ExactCoeff.from_scalar(dist)
-        return dist.is_zero(), dc * dc
-    # several radicals: exact floor via 50-digit interval midpoint is safe at
-    # desk scale; squared distance returned exactly relative to that floor
-    fl = int(mpmath.floor(v.to_mpf()))
-    frac = v - ExactCoeff.from_fraction(fl)
-    if frac.to_mpf() > 0.5:
-        frac = ExactCoeff.from_fraction(1) - frac
-    return False, frac * frac
+    rat, out = a * a, defaultdict(int)
+    items = list(terms.items())
+    for i, (d, b) in enumerate(items):
+        rat += b * b * d
+        out[d] += 2 * a * b
+        for e, b2 in items[i + 1:]:
+            g = math.gcd(d, e)
+            out[(d // g) * (e // g)] += 2 * b * b2 * g
+    return rat, out
 
 
 def _lattice_distance(rows, k) -> tuple[float, bool]:
     """Euclidean distance from B k to the nearest point of Z^p, and whether
     B k lies exactly on Z^p.
 
-    An exact row adds its squared distance in the exact ring and a float
-    row in float64.  With no exact row the distance is the float square
-    root of the float sum; otherwise the exact sum is read out at 50 digits,
-    the float sum is added, and one square root is rounded to float once.
+    A float row adds its squared distance in float64.  An exact row is
+    k . row in integers, (a + sum b_d sqrt(d))/c over one c for all exact
+    rows; ``_readout`` certifies its nearest integer n, and the square of
+    (k . row - n) is expanded exactly.  With no exact row the distance is
+    the float square root of the float sum; otherwise the exact squares and
+    the float sum are added exactly and their square root is read out once,
+    correctly rounded.
     """
-    exact_sq = None
+    exact = [all(s.is_exact for s in row) for row in rows]
+    c = math.lcm(*(s.q if isinstance(s, Rational) else s.c
+                   for row, e in zip(rows, exact) if e for s in row))
+    num, terms = 0, defaultdict(int)
     float_sq = 0.0
     all_zero = True
-    for row in rows:
-        if all(s.is_exact for s in row):
-            zero, dsq = _exactcoeff_circle_distance_sq(_exact_dot(k, row))
-            exact_sq = dsq if exact_sq is None else exact_sq + dsq
+    for row, is_exact in zip(rows, exact):
+        if is_exact:
+            a, t = _row_value(k, row, c)
+            a -= _readout(a, t, c)[0] * c
+            all_zero = all_zero and a == 0 and not any(t.values())
+            ra, rt = _square(a, t)
+            num += ra
+            for f, b in rt.items():
+                terms[f] += b
         else:
             d = ApproximateReal(_float_dot(k, row)).circle_distance().to_float()
-            zero = d == 0.0
+            all_zero = all_zero and d == 0.0
             float_sq += d * d
-        all_zero = all_zero and zero
-    if exact_sq is None:
+    if not any(exact):
         # a lone row keeps its distance: d * d underflows below 2^-511
         return (d if len(rows) == 1 else math.sqrt(float_sq)), all_zero
-    with mpmath.workdps(_MP_DPS):
-        total = exact_sq.to_mpf() + float_sq
-    return float(mpmath.sqrt(total)), all_zero
+    # (num + sum terms_f sqrt f)/c^2 + fn/fd, read out under one square root
+    fn, fd = float_sq.as_integer_ratio()
+    terms = {f: b * fd for f, b in terms.items()}
+    return _readout(num * fd + fn * c * c, terms, c * c * fd, root=True)[1], all_zero
 
 
 def _ball_by_norm(q: int, K: int) -> list:
@@ -205,8 +260,10 @@ def matrix_margin(B, rho: float, K: int) -> DiophantineCertificate:
     """min over 0 < |k| <= K in Z^q of ||B k||_{T^p} * |k|^rho.
 
     ||v||_{T^p} is the Euclidean distance from v to the nearest point of
-    Z^p.  The lattice ball is enumerated exactly; for p = 1 the distance is
-    the scalar one so the 1x1 case reproduces scalar_margin identically.
+    Z^p.  Every point of the lattice ball is visited, by |k| and then by k,
+    and its distance is read out by ``_lattice_distance``; the first point
+    with the smallest value is the witness.  A 1x1 matrix is handed to
+    scalar_margin, so it reproduces the scalar certificate identically.
     """
     if K < 1:
         raise EmptyRequestError("search radius K must be >= 1")
@@ -254,9 +311,14 @@ class ExponentFit:
 def exponent_fit(x_or_B, K: int) -> ExponentFit:
     """Estimate the approximation exponent from record minima of ||k x||.
 
-    Records are the k where ||k x|| achieves a new minimum; the estimate is
-    the negated slope of the least-squares fit of log ||k x|| against log k
-    over the records.  Exact zero at some k reports resonance instead.
+    Records are the k where the float ||k x|| reaches a new strict minimum,
+    in search order; the estimate is the negated slope of the least-squares
+    fit of log ||k x|| against log |k| over the records.  An exact scalar
+    visits only its continued-fraction denominators, which hold every record
+    (see ``_search_ks``); a float scalar visits 1..K and a matrix its lattice
+    ball, as in matrix_margin.  Exact zero at some k reports resonance
+    instead; fewer than two records, or records that all share one |k|,
+    raise InsufficientDataError.
     """
     if K < 10:
         raise EmptyRequestError("exponent fit needs K >= 10")
@@ -265,7 +327,7 @@ def exponent_fit(x_or_B, K: int) -> ExponentFit:
         points = ((k, *_lattice_distance(rows, k)) for k in _ball_by_norm(len(rows[0]), K))
     else:
         x = as_scalar(x_or_B)
-        points = (((k,), *_scalar_distance(x, k)) for k in range(1, K + 1))
+        points = (((k,), *_scalar_distance(x, k)) for k in _search_ks(x, K))
     records: list[tuple[tuple[int, ...], float]] = []
     best = math.inf
     for k, dist, zero in points:
@@ -282,6 +344,8 @@ def exponent_fit(x_or_B, K: int) -> ExponentFit:
     mx = sum(xs) / n
     my = sum(ys) / n
     sxx = sum((v - mx) ** 2 for v in xs)
+    if sxx == 0:
+        raise InsufficientDataError("every record minimum has the same |k|; cannot fit")
     sxy = sum((u - mx) * (w - my) for u, w in zip(xs, ys))
     slope = sxy / sxx
     return ExponentFit(-slope, records, False, None)

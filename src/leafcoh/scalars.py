@@ -11,6 +11,12 @@ search radius where float64 cancellation is fatal.
 callers never branch on the kind: they read the result through
 ``is_zero()``, ``to_float()`` or ``to_mpf()``.  ``_fraction_to_mpf`` is the
 one conversion of a Fraction to an mpf.
+
+``_readout`` is the one integer fixed-point readout of an exact value
+(A + sum_d B_d*sqrt(d))/C, or of its square root: it brackets the value
+between integers at P fractional bits with ``math.isqrt`` and doubles P
+until both ends give the same nearest integer and the same float, so the
+integer is certified and the float correctly rounded.
 """
 
 from __future__ import annotations
@@ -52,6 +58,46 @@ def _isqrt_floor(n: int) -> tuple[int, bool]:
     return r, r * r == n
 
 
+def _readout(a: int, terms: dict, c: int, root: bool = False) -> tuple[int, float]:
+    """Nearest integer and correctly rounded float of v = (a + sum b*sqrt(d))/c,
+    or of sqrt(v) when ``root`` is set (then v >= 0).
+
+    ``terms`` maps distinct squarefree d > 1 to integer coefficients b, and
+    c > 0.  Each b*sqrt(d) scaled by 2^P lies between isqrt((b*b*d) << 2P)
+    and one more, so the sum is bracketed by integers; P doubles until both
+    ends round alike (Ziv's loop).  The loop stops because an irrational
+    value is neither a half-integer nor a float midpoint (square roots of
+    distinct squarefree integers are linearly independent over Q).  A
+    rational value, and a rational square root, is read out directly.
+    """
+    terms = {d: b for d, b in terms.items() if b}
+    if not terms and root:
+        s, exact = _isqrt_floor(a * c)
+        if exact:  # sqrt(a/c) = s/c
+            a, root = s, False
+    if not terms and not root:
+        return (2 * a + c) // (2 * c), a / c
+    p = 64
+    while True:
+        shift = 2 * p if root else p
+        lo = hi = a << shift
+        for d, b in terms.items():
+            r = math.isqrt((b * b * d) << (2 * shift))
+            if b > 0:
+                lo, hi = lo + r, hi + r + 1
+            else:
+                lo, hi = lo - r - 1, hi - r
+        lo, hi = lo // c, -(-hi // c)
+        if root:
+            lo, hi = math.isqrt(max(lo, 0)), math.isqrt(hi) + 1
+        half, one = 1 << (p - 1), 1 << p
+        n = (lo + half) >> p
+        f = lo / one
+        if n == (hi + half) >> p and f == hi / one:
+            return n, f
+        p *= 2
+
+
 def _sign_a_plus_b_sqrt_d(a: int, b: int, d: int) -> int:
     """Exact sign of a + b*sqrt(d), d >= 0."""
     if b == 0:
@@ -77,7 +123,8 @@ class Rational:
     __slots__ = ("value",)
 
     def __init__(self, p, q=1):
-        self.value = Fraction(p, q)
+        # a Fraction is already reduced: share it instead of re-running gcd
+        self.value = p if q == 1 and type(p) is Fraction else Fraction(p, q)
 
     @property
     def p(self) -> int:
@@ -215,7 +262,7 @@ class QuadraticIrrational:
         return False  # b != 0 always
 
     def to_float(self) -> float:
-        return float(self.to_mpf())
+        return _readout(self.a, {self.d: self.b}, self.c)[1]
 
     def to_mpf(self):
         with mpmath.workdps(_MP_DPS):
@@ -246,7 +293,10 @@ class ApproximateReal:
     __slots__ = ("value",)
 
     def __init__(self, value: float):
-        self.value = float(value)
+        value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite float {value!r}")
+        self.value = value
 
     def times_int(self, k: int) -> "ApproximateReal":
         return ApproximateReal(self.value * k)

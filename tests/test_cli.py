@@ -96,6 +96,29 @@ def test_malformed_matrices_and_samples_exit_1(capsys):
     assert code == 2 and json.loads(out)["error"] == "DimensionError"
 
 
+def test_non_finite_floats_exit_1(capsys):
+    for v in ("inf", "-inf", "nan", "float:inf"):
+        for args in (["dio", "margin", "--x", v, "--rho", "1", "--k", "10"],
+                     ["dio", "fit", "--x", v, "--k", "10"]):
+            code, out = run_main(args)
+            err = capsys.readouterr().err
+            assert code == 1 and out == "", args
+            assert "bad input: non-finite float" in err and "Traceback" not in err, args
+    # a float row whose multiple overflows: 2 * 1e308 is not a float
+    code, out = run_main(["dio", "margin", "--matrix", "[[1e308],[0.3]]", "--rho", "1", "--k", "5"])
+    assert code == 1 and out == "" and "non-finite" in capsys.readouterr().err
+    # 1e308 itself is an integer-valued float: exactly resonant at k = 1
+    code, out = run_main(["dio", "margin", "--x", "1e308", "--rho", "1", "--k", "10"])
+    assert code == 0 and json.loads(out)["witness_k"] == [1] and json.loads(out)["margin"] == 0.0
+    code, out = run_main(["dio", "fit", "--x", "1e308", "--k", "10"])
+    assert code == 0 and json.loads(out)["resonance_k"] == [1]
+
+
+def test_fit_with_records_of_one_norm_is_a_domain_error():
+    code, out = run_main(["dio", "fit", "--matrix", "[[1e-9,0.37]]", "--k", "10"])
+    assert code == 2 and json.loads(out)["error"] == "InsufficientDataError"
+
+
 def test_matrix_margin_cli():
     code, out = run_main(
         ["dio", "margin", "--matrix", '[["quadratic:(1-sqrt5)/2"]]', "--rho", "1", "--k", "50"]

@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leafcoh.diophantine import (
     continued_fraction,
@@ -10,7 +13,8 @@ from leafcoh.diophantine import (
     scalar_margin,
     scalar_margin_at,
 )
-from leafcoh.errors import EmptyRequestError, ExactnessError
+from leafcoh.diophantine import _ball_by_norm, _lattice_distance
+from leafcoh.errors import EmptyRequestError, ExactnessError, InsufficientDataError
 from leafcoh.scalars import (
     ApproximateReal,
     QuadraticIrrational,
@@ -193,11 +197,20 @@ def test_exponent_fit_matrix_input():
     assert all(len(k) == 1 for k, _ in fit.records)
 
 
-def _oracle_lattice_distance(rows, k):
-    """Distance from B k to Z^p at 60 digits, rounded to float once."""
-    with mpmath.workdps(60):
+def _oracle_lattice_distance(rows, k, dps=60):
+    """Distance from B k to Z^p at dps digits, rounded to float once.
+
+    A row holding a float is summed in float64 in index order, as the
+    float lane does, and its distance squared in float64."""
+    with mpmath.workdps(dps):
         total = mpmath.mpf(0)
+        float_sq = 0.0
         for row in rows:
+            if not all(s.is_exact for s in row):
+                v = sum((ki * s.to_float() for s, ki in zip(row, k) if ki), 0.0)
+                fr = v - math.floor(v)
+                float_sq += min(fr, 1.0 - fr) ** 2
+                continue
             v = mpmath.mpf(0)
             for s, ki in zip(row, k):
                 if isinstance(s, Rational):
@@ -205,7 +218,7 @@ def _oracle_lattice_distance(rows, k):
                 else:
                     v += (s.a + s.b * mpmath.sqrt(s.d)) / s.c * ki
             total += (v - mpmath.nint(v)) ** 2
-        return float(mpmath.sqrt(total))
+        return float(mpmath.sqrt(total + float_sq))
 
 
 def test_matrix_distances_are_correctly_rounded():
@@ -249,3 +262,109 @@ def test_matrix_margin_negative_slope_matches_folded_scalar():
     sm = scalar_margin(pos, 1.0, 500)
     assert mm.margin == pytest.approx(sm.margin, abs=1e-15)
     assert mm.margin > 0
+
+
+def brute_force_search(x, rho, K):
+    """The k = 1..K loop the exact searches replaced, kept as their oracle.
+
+    Returns (margin, witness_k) as scalar_margin reports them, the strict
+    record list of exponent_fit, and the first resonant k (or None)."""
+    best, best_k = math.inf, None
+    record, records = math.inf, []
+    for k in range(1, K + 1):
+        d = x.times_int(k).circle_distance()
+        if d.is_zero():
+            return (0.0, (k,)), records, k
+        dist = d.to_float()
+        val = dist * float(k) ** float(rho)
+        if val < best:
+            best, best_k = val, k
+        if dist < record:
+            record = dist
+            records.append(((k,), dist))
+    return (best, (best_k,)), records, None
+
+
+_radicands = st.sampled_from([2, 3, 5, 6, 7, 10, 11, 13, 19])
+_quadratics = st.builds(
+    QuadraticIrrational,
+    st.integers(-60, 60),
+    st.integers(1, 12) | st.integers(-12, -1),
+    st.integers(1, 40),
+    _radicands,
+)
+_rationals = st.builds(Rational, st.integers(-400, 400), st.integers(1, 3000))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(x=_quadratics | _rationals, rho=st.sampled_from([0.5, 1.0, 2.0]),
+       K=st.integers(1, 2000))
+def test_convergent_search_matches_brute_force(x, rho, K):
+    (margin, witness), records, resonance = brute_force_search(x, rho, K)
+    cert = scalar_margin(x, rho, K)
+    assert (cert.margin, cert.witness_k) == (margin, witness)
+    if K < 10:
+        return
+    if resonance is None and len(records) < 2:
+        with pytest.raises(InsufficientDataError):
+            exponent_fit(x, K)
+        return
+    fit = exponent_fit(x, K)
+    assert fit.records == records
+    assert fit.resonance_k == (None if resonance is None else (resonance,))
+
+
+def test_scalar_search_reaches_huge_K():
+    # K = 10^30 visits about 80 denominators; every summand there is read
+    # out correctly rounded, where a 50-digit readout had lost all digits
+    x = sqrt_scalar(2)
+    big, small = scalar_margin(x, 1.0, 10**30), scalar_margin(x, 1.0, 10**4)
+    assert (big.margin, big.witness_k) == (small.margin, small.witness_k)
+    assert big.witness_k == (2,)
+    qs = [q for _, q in continued_fraction(x, 100).convergents if q <= 10**30]
+    assert len(qs) > 70
+    with mpmath.workdps(400):
+        for q in qs:
+            v = q * mpmath.sqrt(2)
+            want = float(abs(v - mpmath.nint(v))) * float(q)
+            assert scalar_margin_at(x, q, 1.0) == want, q
+    fit = exponent_fit(golden_ratio_conjugate(), 10**30)
+    assert [k[0] for k, _ in fit.records][:6] == [1, 2, 3, 5, 8, 13]
+
+
+def test_lattice_distances_are_correctly_rounded():
+    g, s3, s7 = golden_ratio_conjugate(), sqrt_scalar(3), QuadraticIrrational(1, -2, 3, 7)
+    r1, r2 = Rational(2, 7), Rational(-5, 11)
+    f = ApproximateReal(0.3183098861837907)
+    cases = [
+        ([[g, s3]], 6),                 # 1x2, two radicals in one row
+        ([[s7, r1]], 6),                # 1x2, radical and rational
+        ([[r1, r2]], 6),                # 1x2, rational only
+        ([[g], [s3]], 30),              # 2x1 exact
+        ([[r1], [s7]], 30),             # 2x1, rational row and radical row
+        ([[s3], [f]], 30),              # 2x1, exact row and float row
+        ([[g, s3], [r2, s7]], 4),       # 2x2 exact
+        ([[r1, r2], [f, g]], 4),        # 2x2, rational-only row and float row
+    ]
+    for rows, K in cases:
+        for k in _ball_by_norm(len(rows[0]), K):
+            dist, _ = _lattice_distance(rows, k)
+            assert dist == _oracle_lattice_distance(rows, k, dps=120), (rows, k)
+
+
+def test_rational_midpoint_distance_terminates():
+    # the distance is exactly the float midpoint m = 1/4 + 2^-55; its square
+    # root is rational, so it is read out directly and rounds to even
+    m = Fraction(2**53 + 1, 2**55)
+    assert float(m) == 0.25
+    d, zero = _lattice_distance([[Rational(m)], [Rational(0)]], (1,))
+    assert (d, zero) == (0.25, False)
+    # split over two rows as 3m/5 and 4m/5, whose squares add to m^2
+    d, _ = _lattice_distance([[Rational(3 * m / 5)], [Rational(4 * m / 5)]], (1,))
+    assert d == 0.25
+
+
+def test_exponent_fit_records_of_one_norm():
+    # only (0, 1) and (1, 0) are records, both of norm 1: no slope to fit
+    with pytest.raises(InsufficientDataError):
+        exponent_fit([[ApproximateReal(1e-9), ApproximateReal(0.37)]], 10)

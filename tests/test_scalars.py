@@ -4,12 +4,15 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leafcoh.errors import ExactnessError
 from leafcoh.scalars import (
     ApproximateReal,
     QuadraticIrrational,
     Rational,
+    _readout,
     as_scalar,
     golden_ratio_conjugate,
     parse_scalar,
@@ -110,3 +113,60 @@ def test_require_exact():
 
     with pytest.raises(ExactnessError):
         require_exact(ApproximateReal(0.1))
+
+
+def test_approximate_refuses_non_finite():
+    for v in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            ApproximateReal(v)
+    with pytest.raises(ValueError):
+        ApproximateReal(1e308).times_int(10)
+    with pytest.raises(ValueError):
+        parse_scalar("float:nan")
+
+
+def _oracle(a, terms, c, root=False):
+    """Nearest integer (halves round up) and float of the readout's value at
+    120 digits."""
+    with mpmath.workdps(120):
+        v = (mpmath.mpf(a) + sum(b * mpmath.sqrt(d) for d, b in terms.items())) / c
+        if root:
+            v = mpmath.sqrt(v)
+        return int(mpmath.floor(v + mpmath.mpf(1) / 2)), float(v)
+
+
+_squarefree = st.sampled_from([2, 3, 5, 6, 7, 10, 11, 13, 15, 21, 30, 105])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(a=st.integers(-10**40, 10**40), c=st.integers(1, 10**20),
+       terms=st.dictionaries(_squarefree, st.integers(-10**30, 10**30), max_size=4))
+def test_readout_is_certified_and_correctly_rounded(a, terms, c):
+    assert _readout(a, terms, c) == _oracle(a, terms, c)
+    sq = abs(a)  # a non-negative value for the square root: |a| + sum |b| sqrt d
+    pos = {d: abs(b) for d, b in terms.items()}
+    assert _readout(sq, pos, c, root=True)[1] == _oracle(sq, pos, c, root=True)[1]
+
+
+def test_readout_cancellation_and_exact_roots():
+    # p_n - q_n sqrt 2 at a convergent near 10^29 cancels 97 bits
+    p, q = 1, 1
+    while q < 10**29:
+        p, q = p + 2 * q, p + q
+    assert _readout(p, {2: -q}, 1) == _oracle(p, {2: -q}, 1)
+    # rational squares and non-squares under the root, including a midpoint
+    m = Fraction(2**53 + 1, 2**55)
+    for v in (m * m, Fraction(9, 4), Fraction(2), Fraction(1, 3)):
+        f = _readout(v.numerator, {}, v.denominator, root=True)[1]
+        assert f == _oracle(v.numerator, {}, v.denominator, root=True)[1]
+    assert _readout((m * m).numerator, {}, (m * m).denominator, root=True)[1] == 0.25
+
+
+def test_quadratic_to_float_is_correctly_rounded():
+    rng = random.Random(7)
+    for _ in range(2000):
+        d = rng.choice([2, 3, 5, 7, 11, 13, 17])
+        x = QuadraticIrrational(rng.randint(-10**6, 10**6), rng.choice([-1, 1]) * rng.randint(1, 10**6),
+                                rng.randint(1, 10**4), d)
+        for y in (x, x.circle_distance()):
+            assert y.to_float() == _oracle(y.a, {y.d: y.b}, y.c)[1], y
