@@ -598,7 +598,7 @@ def main(argv=None) -> int:
         return 1
     except LeafcohError as e:
         return _domain_exit(e)
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as e:
+    except (ValueError, KeyError, TypeError, OverflowError, json.JSONDecodeError) as e:
         click.echo(f"bad input: {e}", err=True)
         return 1
 

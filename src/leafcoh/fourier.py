@@ -8,6 +8,13 @@ zero from 1e-17 matters (obstruction functionals, calculus identities).
 
 Multiplication is support convolution, so trigonometric polynomials stay
 closed and exact; no grid is involved except in the explicit transforms.
+
+The float lane runs on numpy arrays but keeps the arithmetic of the plain
+Python loops bit for bit: every product and sum is the same IEEE operation
+on the same operands, taken in the same order.  A product of two polynomials
+with ``complex`` coefficients goes through ``_float_product``; ``evaluate``
+sums its terms with a sequential ``np.add.accumulate`` (never the pairwise
+``np.sum``).  Exact coefficients and mixed operands keep the dict loop.
 """
 
 from __future__ import annotations
@@ -22,6 +29,12 @@ from .errors import AmbiguityError, DimensionError, EmptySupportError, Exactness
 from .exact import ExactCoeff, PhaseCoeff, _exact_dot, _float_dot
 
 TWO_PI = 2.0 * math.pi
+
+# frequencies inside +-2^62 keep every pair sum inside int64
+_INT64_SAFE = 1 << 62
+# smaller products run faster in the dict loop (see TrigPoly.__mul__)
+_KERNEL_MIN_COLS = 16
+_KERNEL_MIN_PAIRS = 400
 
 ExactLike = (ExactCoeff, PhaseCoeff)
 
@@ -115,9 +128,31 @@ class TrigPoly:
         return TrigPoly(self.dims, {k: c * s for k, c in self.coeffs.items()})
 
     def __mul__(self, other):
+        """Product: support convolution, bit-identical to the dict loop.
+
+        The reference is the loop over the modes k1 of ``self`` and, inside
+        it, the modes k2 of ``other``, both in dict order: the product
+        c1 * c2 is added to the coefficient of k1 + k2, a sum that is exactly
+        0 deletes the key and a zero product is never inserted.  When both
+        operands hold only ``complex`` coefficients and the product is large
+        enough to pay for the array set-up (``_KERNEL_MIN_COLS`` modes in
+        ``other``, ``_KERNEL_MIN_PAIRS`` mode pairs), ``_float_product``
+        replays that loop one row k1 at a time on arrays; coefficients,
+        their type and the key order of the result are the same.
+        """
         if not isinstance(other, TrigPoly):
             return self.scale(other)
         self._check_dims(other)
+        nb = len(other.coeffs)
+        if (
+            nb >= _KERNEL_MIN_COLS
+            and len(self.coeffs) * nb >= _KERNEL_MIN_PAIRS
+            and _all_complex(self)
+            and _all_complex(other)
+        ):
+            out = _float_product(self.coeffs, other.coeffs)
+            if out is not None:
+                return _wrap(self.dims, out)
         out: dict = {}
         for k1, c1 in self.coeffs.items():
             for k2, c2 in other.coeffs.items():
@@ -131,7 +166,7 @@ class TrigPoly:
                         out[k] = s
                 elif not _is_zero_coeff(p):
                     out[k] = p
-        return TrigPoly(self.dims, out)
+        return _wrap(self.dims, out)
 
     __rmul__ = __mul__
 
@@ -195,26 +230,40 @@ class TrigPoly:
     # evaluation
 
     def evaluate(self, x) -> complex:
-        """Exact finite sum sum_k c_k e^{2 pi i k.x} at a point of T^n."""
+        """Exact finite sum sum_k c_k e^{2 pi i k.x} at a point of T^n.
+
+        Bit-identical to the loop that adds c_k * e^{2 pi i k.x} mode by
+        mode, in dict order, from 0: the phase k.x is built one coordinate
+        at a time from 0.0, the products are formed in real and imaginary
+        parts as CPython's complex multiply forms them, and the terms are
+        summed sequentially with ``np.add.accumulate``.  ``np.cos`` and
+        ``np.sin`` agree with ``math.cos`` and ``math.sin`` to the bit
+        (``tests/test_fourier.py`` checks this), and an infinite phase
+        raises ValueError as ``math.cos`` does.
+        """
         pt = (x,) if isinstance(x, (int, float)) else tuple(float(v) for v in x)
         if len(pt) != self.dims:
             raise DimensionError("point dimension mismatch")
-        total = 0.0 + 0.0j
-        for k, c in self.coeffs.items():
-            phase = TWO_PI * sum(ki * xi for ki, xi in zip(k, pt))
-            total += _to_complex(c) * complex(math.cos(phase), math.sin(phase))
-        return total
-
-    def rotate(self, shift) -> "TrigPoly":
-        """Compose with the translation x -> x + shift (float coefficients)."""
-        sh = (shift,) if isinstance(shift, (int, float)) else tuple(float(v) for v in shift)
-        if len(sh) != self.dims:
-            raise DimensionError("shift dimension mismatch")
-        out = {}
-        for k, c in self.coeffs.items():
-            phase = TWO_PI * sum(ki * si for ki, si in zip(k, sh))
-            out[k] = _to_complex(c) * complex(math.cos(phase), math.sin(phase))
-        return TrigPoly(self.dims, out)
+        if not self.coeffs:
+            return 0.0 + 0.0j
+        freqs = list(self.coeffs)
+        c = _complex_array(self.coeffs.values())
+        with np.errstate(all="ignore"):
+            phase = np.zeros(len(freqs))
+            for d, xd in enumerate(pt):
+                if isinstance(xd, int):  # an integer point keeps k.x an exact integer
+                    phase = phase + np.array([k[d] * xd for k in freqs], dtype=float)
+                else:
+                    phase = phase + np.array([k[d] for k in freqs], dtype=float) * xd
+            phase = TWO_PI * phase
+            if np.isinf(phase).any():
+                raise ValueError("math domain error")
+            cos, sin = np.cos(phase), np.sin(phase)
+            terms = np.zeros((2, len(freqs) + 1))
+            np.subtract(c.real * cos, c.imag * sin, out=terms[0, 1:])
+            np.add(c.real * sin, c.imag * cos, out=terms[1, 1:])
+            total = np.add.accumulate(terms, axis=1)[:, -1].tolist()
+        return complex(total[0], total[1])
 
     # ------------------------------------------------------------------
     # serialization
@@ -232,6 +281,102 @@ class TrigPoly:
         for row in obj["coeffs"]:
             coeffs[tuple(row["k"])] = complex(_num(row["re"]), _num(row["im"]))
         return cls(int(obj["dims"]), coeffs)
+
+
+def _wrap(dims: int, store: dict) -> TrigPoly:
+    """TrigPoly around a store that already has int-tuple keys and no zeros."""
+    f = TrigPoly.__new__(TrigPoly)
+    f.dims, f.coeffs = dims, store
+    return f
+
+
+def _all_complex(f: TrigPoly) -> bool:
+    return all(type(c) is complex for c in f.coeffs.values())
+
+
+def _complex_array(values) -> np.ndarray:
+    vals = list(values)
+    if not all(type(c) is complex for c in vals):
+        vals = [_to_complex(c) for c in vals]
+    return np.array(vals, dtype=complex)
+
+
+def _float_product(a: dict, b: dict) -> dict | None:
+    """The dict-loop product of two stores of ``complex`` values, replayed on arrays.
+
+    Every distinct sum k1 + k2 gets an id (``_pair_ids``).  The rows k1 of a
+    are then taken in dict order; within one row the ids are distinct, so a
+    row is one vector step: the products ar*br - ai*bi and ar*bi + ai*br
+    (CPython's complex multiply, in separate float64 operations, never
+    numpy's complex multiply), the sums with the live coefficients, the
+    deletion of exact zeros, and an insertion stamp i * |b| + j for every
+    key that turns live.  Sorting the live keys by stamp gives the dict
+    order of the loop.  Memory is O(|a| |b|); frequencies outside +-2^62
+    return None (the caller runs the loop).
+    """
+    if not a or not b:
+        return {}
+    try:
+        ka = np.array(list(a), dtype=np.int64)
+        kb = np.array(list(b), dtype=np.int64)
+    except OverflowError:
+        return None
+    for k in (ka, kb):
+        if k.min() <= -_INT64_SAFE or k.max() >= _INT64_SAFE:
+            return None
+    va = np.array(list(a.values()), dtype=complex)
+    vb = np.array(list(b.values()), dtype=complex)
+    rows, m = _pair_ids(ka, kb)
+    nb = len(kb)
+    # row i of the products is xr * B + xi * Bs = (xr*br - xi*bi, xr*bi + xi*br)
+    B = np.stack([vb.real, vb.imag], axis=1)
+    Bs = np.stack([-vb.imag, vb.real], axis=1)
+    # a key that is not live holds -0.0, and -0.0 + p == p to the bit
+    acc = np.full(m, complex(-0.0, -0.0))
+    live = np.zeros(m, dtype=bool)
+    stamp = np.zeros(m, dtype=np.int64)
+    cols = np.arange(nb)
+    with np.errstate(all="ignore"):
+        for i, (row, xr, xi) in enumerate(zip(rows, va.real.tolist(), va.imag.tolist())):
+            s = acc[row] + (xr * B + xi * Bs).view(complex).ravel()
+            nz = s != 0
+            if not nz.all():
+                s[~nz] = complex(-0.0, -0.0)
+            acc[row] = s
+            new = nz > live[row]
+            live[row] = nz
+            stamp[row[new]] = cols[new] + i * nb
+    alive = np.flatnonzero(live)
+    order = alive[np.argsort(stamp[alive])]
+    first = stamp[order]
+    keys = (ka[first // nb] + kb[first % nb]).tolist()
+    return dict(zip(map(tuple, keys), acc[order].tolist()))
+
+
+def _pair_ids(ka: np.ndarray, kb: np.ndarray):
+    """Number the distinct sums ka[i] + kb[j] by ids below m: the id rows, and m.
+
+    Row i holds the ids of ka[i] + kb[j] for every j.  When the bounding
+    box of the sums has at most 4 |a| |b| cells, the id of a sum is its
+    cell and each row is computed when it is needed; sparser supports
+    number the |a| |b| sums by sorting them.  Memory is O(|a| |b|) either
+    way, never O(bounding box).
+    """
+    n = len(ka) * len(kb)
+    lo_a, lo_b = ka.min(axis=0), kb.min(axis=0)
+    span_a, span_b = (ka.max(axis=0) - lo_a).tolist(), (kb.max(axis=0) - lo_b).tolist()
+    span = [x + y + 1 for x, y in zip(span_a, span_b)]  # in Python ints: no overflow
+    if math.prod(span) <= 4 * n:
+        stride = np.cumprod([1] + span[:0:-1])[::-1]
+        cell_b = (kb - lo_b) @ stride
+        return (i + cell_b for i in ((ka - lo_a) @ stride).tolist()), math.prod(span)
+    sums = (ka[:, None, :] + kb[None, :, :]).reshape(n, -1)
+    order = np.lexsort(sums.T)
+    fresh = np.ones(n, dtype=bool)
+    fresh[1:] = (sums[order[1:]] != sums[order[:-1]]).any(axis=1)
+    ids = np.empty(n, dtype=np.int64)
+    ids[order] = np.cumsum(fresh) - 1
+    return ids.reshape(len(ka), len(kb)), int(ids.max()) + 1
 
 
 def _num(v) -> float:

@@ -194,8 +194,12 @@ def flow_cohom_solve(f: TrigPoly, flow: KroneckerFlowSpec, tol: float = 1e-9):
 # cross-section straightening with an ODE verification
 
 
-def _real_eval_factory(f: TrigPoly):
-    """Fast real evaluation of a real trig polynomial on T^1."""
+def _real_evaluator(f: TrigPoly):
+    """Vectorised evaluation of a real trig polynomial on T^1 at an array of points.
+
+    f(u) = c_0 + sum_{k > 0} (2 Re c_k cos(2 pi k u) - 2 Im c_k sin(2 pi k u)),
+    with the terms added in dict order to the constant, point by point.
+    """
     terms = []
     const = 0.0
     for k, c in f.coeffs.items():
@@ -204,12 +208,55 @@ def _real_eval_factory(f: TrigPoly):
             const += cc.real
         elif k[0] > 0:
             terms.append((TWO_PI * k[0], 2.0 * cc.real, -2.0 * cc.imag))
-    def ev(u: float) -> float:
+
+    def ev(u: np.ndarray) -> np.ndarray:
         total = const
         for w, a, b in terms:
-            total += a * math.cos(w * u) + b * math.sin(w * u)
-        return total
+            wu = w * u
+            total = total + (a * np.cos(wu) + b * np.sin(wu))
+        return total if terms else np.full(u.shape, const)
+
     return ev
+
+
+def _grid_min(ev) -> float:
+    """Python's min of ev over the 256-point grid j/256, the positivity test."""
+    return min(ev(np.arange(256) / 256).tolist())
+
+
+def _rk4_legs(field, x: np.ndarray, y: np.ndarray, T: np.ndarray, h: float, trace=None):
+    """Classical RK4 with step h for time T[i] from (x[i], y[i]), all legs in lockstep.
+
+    Each leg takes the steps min(h, remaining) of the scalar integrator, in
+    the direction of the sign of T[i], with the same operations in the same
+    order; a leg that has finished is frozen and dropped from the arrays.
+    ``trace`` records (t, x mod 1, y mod 1) along leg 0 every 0.01 in t.
+    """
+    x, y = x.copy(), y.copy()
+    sgn = np.where(T >= 0, 1.0, -1.0)
+    run = np.flatnonzero(np.abs(T) > 0.0)
+    cx, cy, cs, left = x[run], y[run], sgn[run], np.abs(T)[run]
+    t = 0.0
+    while len(run):
+        step = np.minimum(h, left)
+        ds = cs * step
+        k1x, k1y = field(cx)
+        k2x, k2y = field(cx + ds * k1x / 2)
+        k3x, k3y = field(cx + ds * k2x / 2)
+        k4x, k4y = field(cx + ds * k3x)
+        cx = cx + ds * (k1x + 2 * k2x + 2 * k3x + k4x) / 6
+        cy = cy + ds * (k1y + 2 * k2y + 2 * k3y + k4y) / 6
+        left = left - step
+        if trace is not None and run[0] == 0:
+            t += float(ds[0])
+            if len(trace) == 0 or abs(t - trace[-1][0]) >= 0.01:
+                trace.append((t, float(cx[0]) % 1.0, float(cy[0]) % 1.0))
+        done = ~(left > 0.0)
+        if done.any():
+            x[run[done]], y[run[done]] = cx[done], cy[done]
+            keep = ~done
+            run, cx, cy, cs, left = run[keep], cx[keep], cy[keep], cs[keep], left[keep]
+    return x, y
 
 
 @dataclass(frozen=True)
@@ -256,6 +303,11 @@ def suspension_density(f: TrigPoly, alpha) -> TrigPoly:
     return TrigPoly(1, out)
 
 
+# the section check refuses requests beyond these before it allocates anything
+MAX_SECTION_SAMPLES = 1 << 16
+MAX_RK4_STEPS = 10_000_000
+
+
 def straighten_cross_section(
     f: TrigPoly,
     alpha,
@@ -270,15 +322,23 @@ def straighten_cross_section(
     torus field (alpha, 1)/rho(x) built by suspension_density (whose first
     return time to y = 0 is f) is integrated with a fixed RK4 step from
     psi^{-g(x)}(x, 0) for time c and compared against
-    psi^{-g(R_alpha x)}(R_alpha x, 0) at `samples` base points.
+    psi^{-g(R_alpha x)}(R_alpha x, 0) at `samples` base points x = j/samples.
+
+    The 2*samples legs of length |g| are integrated in lockstep on arrays
+    (``_rk4_legs``), then the `samples` legs of length c; the reported
+    trajectory follows the leg from x = 0.  Every leg takes the steps and
+    the IEEE operations of the scalar RK4 loop, so the result is
+    bit-identical to integrating the legs one by one.  More than
+    MAX_SECTION_SAMPLES samples, a step that is not positive, or more than
+    MAX_RK4_STEPS steps in all raise ValueError before any integration.
     """
     if samples < 32:
         raise EmptyRequestError("verification needs at least 32 sample points")
+    if samples > MAX_SECTION_SAMPLES:
+        raise ValueError(f"at most {MAX_SECTION_SAMPLES} sample points, got {samples}")
     _require_real(f, "return time")
     alpha = as_scalar(alpha)
-    ev = _real_eval_factory(f)
-    grid = [j / 256 for j in range(256)]
-    if min(ev(u) for u in grid) <= 0:
+    if _grid_min(_real_evaluator(f)) <= 0:
         raise NonpositiveError("return time must be positive on the verification grid")
 
     sol = circle_cohom_solve(f, alpha, tol=min(tol, 1e-9))
@@ -287,37 +347,41 @@ def straighten_cross_section(
     g, c = sol.g, sol.c
 
     rho = suspension_density(f, alpha)
-    rho_ev = _real_eval_factory(rho)
-    if min(rho_ev(u) for u in grid) <= 0:
+    rho_ev = _real_evaluator(rho)
+    if _grid_min(rho_ev) <= 0:
         raise NonpositiveError(
             "reparametrization density is not positive; return time too wild to realize"
         )
 
     h = rk4_step if rk4_step is not None else min(1e-3, math.sqrt(tol))
+    if not h > 0.0:
+        raise ValueError(f"rk4_step must be positive, got {h}")
+    # |g(x)| <= sum |g_k|: legs x length / step, plus one partial step per leg
+    g_bound = sum(abs(_to_complex(v)) for v in g.coeffs.values())
+    steps = samples * (2 * g_bound + abs(c)) / h + 3 * samples
+    if not steps <= MAX_RK4_STEPS:
+        raise ValueError(
+            f"the RK4 check would take about {steps:.3g} steps (limit {MAX_RK4_STEPS}); "
+            "use fewer samples or a larger step"
+        )
     af = alpha.to_float()
-    gev = _real_eval_factory(TrigPoly(1, {k: _to_complex(v) for k, v in g.coeffs.items()}))
+    gev = _real_evaluator(g)
 
-    def field(x: float, y: float):
-        s = 1.0 / rho_ev(x % 1.0)
+    def field(x: np.ndarray):
+        r = rho_ev(x % 1.0)
+        if not r.all():
+            raise ZeroDivisionError("float division by zero")
+        s = 1.0 / r
         return af * s, s
 
-    def integrate(x: float, y: float, T: float, trace=None):
-        t = 0.0
-        sgn = 1.0 if T >= 0 else -1.0
-        remaining = abs(T)
-        while remaining > 0.0:
-            step = min(h, remaining)
-            k1 = field(x, y)
-            k2 = field(x + sgn * step * k1[0] / 2, y + sgn * step * k1[1] / 2)
-            k3 = field(x + sgn * step * k2[0] / 2, y + sgn * step * k2[1] / 2)
-            k4 = field(x + sgn * step * k3[0], y + sgn * step * k3[1])
-            x += sgn * step * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]) / 6
-            y += sgn * step * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]) / 6
-            remaining -= step
-            t += sgn * step
-            if trace is not None and (len(trace) == 0 or abs(t - trace[-1][0]) >= 0.01):
-                trace.append((t, x % 1.0, y % 1.0))
-        return x, y
+    x = np.arange(samples) / samples
+    starts = np.concatenate([x, (x + af) % 1.0])
+    with np.errstate(all="ignore"):
+        ends_x, ends_y = _rk4_legs(field, starts, np.zeros(2 * samples), -gev(starts), h)
+        trajectory: list = []
+        dx, dy = _rk4_legs(
+            field, ends_x[:samples], ends_y[:samples], np.full(samples, c), h, trace=trajectory
+        )
 
     def torus_dist(p, q):
         return max(
@@ -326,14 +390,9 @@ def straighten_cross_section(
         )
 
     worst = 0.0
-    trajectory: list = []
-    for j in range(samples):
-        x = j / samples
-        rx = (x + af) % 1.0
-        p = integrate(x, 0.0, -gev(x))
-        q = integrate(rx, 0.0, -gev(rx))
-        d = integrate(p[0], p[1], c, trace=trajectory if j == 0 else None)
-        worst = max(worst, torus_dist(d, q))
+    q = zip(ends_x[samples:].tolist(), ends_y[samples:].tolist())
+    for d, qj in zip(zip(dx.tolist(), dy.tolist()), q):
+        worst = max(worst, torus_dist(d, qj))
     return SectionStraightening(g, c, worst, samples, h, trajectory)
 
 
@@ -349,8 +408,7 @@ def reparam_invariant_density(f: TrigPoly) -> TrigPoly:
     exactly 1.
     """
     _require_real(f, "density data")
-    ev = _real_eval_factory(f)
-    if min(ev(j / 256) for j in range(256)) <= 0:
+    if _grid_min(_real_evaluator(f)) <= 0:
         raise NonpositiveError("density data must be positive")
     mean = _to_complex(f.mean())
     return TrigPoly(f.dims, {k: _to_complex(c) / mean for k, c in f.coeffs.items()})

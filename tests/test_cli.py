@@ -114,6 +114,38 @@ def test_non_finite_floats_exit_1(capsys):
     assert code == 0 and json.loads(out)["resonance_k"] == [1]
 
 
+def test_exact_entry_beyond_the_float_range_is_bad_input(capsys):
+    big = "quadratic:(1" + "0" * 400 + "+sqrt2)"
+    code, out = run_main(["dio", "margin", "--matrix", json.dumps([[big, "0.5"]]), "--rho", "1", "--k", "3"])
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err.startswith("bad input") and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_section_refuses_unbounded_requests(capsys):
+    rt = json.dumps({"dims": 1, "coeffs": [{"k": [0], "re": 1.0, "im": 0.0},
+                                           {"k": [1], "re": 0.15, "im": 0.0},
+                                           {"k": [-1], "re": 0.15, "im": 0.0}]})
+    for extra in (["--samples", "100000000", "--step", "1e-12"], ["--step", "1e-12"], ["--step", "0"]):
+        code, out = run_main(["flow", "section", "--json", rt, "--alpha", "quadratic:(-1+sqrt5)/2"] + extra)
+        err = capsys.readouterr().err
+        assert code == 1 and out == "", extra
+        assert err.startswith("bad input") and len(err.strip().splitlines()) == 1, extra
+
+
+GOLDEN_RUNS = json.loads((pathlib.Path(__file__).parent / "data" / "cli_golden.json").read_text())
+
+
+def test_cli_output_matches_recorded_golden_runs(capsys):
+    """README examples and a sweep of fn eval, flow section, lie mc and fol h1:
+    stdout and exit code byte for byte as recorded (tests/data/make_cli_golden.py)."""
+    for run_ in GOLDEN_RUNS:
+        code, out = run_main(run_["args"])
+        capsys.readouterr()
+        assert (code, out) == (run_["exit"], run_["stdout"]), run_["args"]
+
+
 def test_fit_with_records_of_one_norm_is_a_domain_error():
     code, out = run_main(["dio", "fit", "--matrix", "[[1e-9,0.37]]", "--k", "10"])
     assert code == 2 and json.loads(out)["error"] == "InsufficientDataError"

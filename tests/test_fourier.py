@@ -1,15 +1,22 @@
 import math
 import random
+import struct
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_exact_poly, random_real_poly
 from leafcoh.errors import AmbiguityError, DimensionError, EmptySupportError
 from leafcoh.exact import ExactCoeff
 from leafcoh.fourier import (
     TrigPoly,
+    _float_product,
+    _is_zero_coeff,
+    _to_complex,
     decay_report,
     frame_derivative,
     grid_transform,
@@ -161,3 +168,152 @@ def test_frame_derivative_commutes_float(rng):
     a = frame_derivative(frame_derivative(f, v), w)
     b = frame_derivative(frame_derivative(f, w), v)
     assert (a - b).sup_coeff() < 1e-10
+
+
+# ----------------------------------------------------------------------
+# the float kernels against the loops they replaced
+
+
+def dict_loop_product(a: TrigPoly, b: TrigPoly) -> dict:
+    """The mode-by-mode product loop, kept as the oracle of TrigPoly.__mul__."""
+    out: dict = {}
+    for k1, c1 in a.coeffs.items():
+        for k2, c2 in b.coeffs.items():
+            k = tuple(x + y for x, y in zip(k1, k2))
+            p = c1 * c2
+            if k in out:
+                s = out[k] + p
+                if _is_zero_coeff(s):
+                    del out[k]
+                else:
+                    out[k] = s
+            elif not _is_zero_coeff(p):
+                out[k] = p
+    return out
+
+
+def scalar_evaluate(f: TrigPoly, x) -> complex:
+    """The mode-by-mode evaluation loop, kept as the oracle of TrigPoly.evaluate."""
+    pt = (x,) if isinstance(x, (int, float)) else tuple(float(v) for v in x)
+    total = 0.0 + 0.0j
+    for k, c in f.coeffs.items():
+        kx = 0  # plain left-to-right sum (sum() compensates floats from Python 3.12 on)
+        for ki, xi in zip(k, pt):
+            kx = kx + ki * xi
+        phase = 2.0 * math.pi * kx
+        total += _to_complex(c) * complex(math.cos(phase), math.sin(phase))
+    return total
+
+
+def _bits(c):
+    """The float64 bits of a float-lane value; an exact value stands for itself."""
+    if isinstance(c, (int, float, complex)):
+        c = complex(c)
+        return struct.pack("<dd", c.real, c.imag)
+    return c
+
+
+def assert_same_store(got: dict, want: dict):
+    """Same keys in the same order, same coefficient types, same bits."""
+    assert list(got) == list(want)
+    assert [type(c) for c in got.values()] == [type(c) for c in want.values()]
+    assert [_bits(c) for c in got.values()] == [_bits(c) for c in want.values()]
+
+
+# few distinct parts make exact cancellations and signed zeros common
+_parts = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 0.25, 3.0]) | st.floats(-2, 2)
+_coeffs = st.builds(complex, _parts, _parts)
+
+
+@st.composite
+def _polys(draw, count, min_modes, max_modes):
+    """`count` polynomials on one torus T^1..T^3, supports near 0 or far apart."""
+    dims = draw(st.integers(1, 3))
+    near = st.integers(-3, 3)
+    far = st.sampled_from([-(2**62 - 1), -(10**9), 10**9, 2**62 - 1])
+    freq = st.tuples(*[near | far for _ in range(dims)])
+    coeffs = st.dictionaries(freq, _coeffs, min_size=min_modes, max_size=max_modes)
+    return [TrigPoly(dims, draw(coeffs)) for _ in range(count)]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(pair=_polys(2, 1, 24))
+def test_product_matches_dict_loop(pair):
+    a, b = pair
+    for x, y in ((a, b), (b, a)):
+        want = dict_loop_product(x, y)
+        assert_same_store(_float_product(x.coeffs, y.coeffs), want)
+        assert_same_store((x * y).coeffs, want)
+
+
+def test_product_kernel_cancels_and_reinserts():
+    # (1 + z)(1 - z) on a 40-mode support: keys die and come back
+    a = TrigPoly(1, {(k,): complex(1.0, -0.0) for k in range(40)})
+    b = TrigPoly(1, {(k,): complex((-1.0) ** k, 0.0) for k in range(40)})
+    c = TrigPoly(1, {(k,): complex(-0.0, (-1.0) ** k) for k in range(-20, 20)})
+    for x, y in ((a, b), (b, a), (a, c), (c, b), (b, b)):
+        assert_same_store((x * y).coeffs, dict_loop_product(x, y))
+    assert len((a * b).coeffs) < len(a.coeffs) + len(b.coeffs) - 1
+
+
+def test_product_mixed_and_exact_operands_keep_the_loop(rng):
+    f = random_exact_poly(rng, 2, n_modes=5)
+    g = TrigPoly(2, {(i, j): 1.5 for i in range(5) for j in range(5)})  # float, not complex
+    h = TrigPoly(2, {(i, j): complex(i, -j) for i in range(5) for j in range(5)})
+    for x, y in ((f, f), (g, h), (h, g), (g, g)):
+        assert_same_store((x * y).coeffs, dict_loop_product(x, y))
+
+
+def test_product_beyond_int64_and_far_apart_supports():
+    for top in (2**62, 2**70):
+        huge = TrigPoly(1, {(top,): 1.0 + 1.0j, **{(k,): 0.5 - 0.25j for k in range(20)}})
+        assert _float_product(huge.coeffs, huge.coeffs) is None
+        assert_same_store((huge * huge).coeffs, dict_loop_product(huge, huge))
+    # modes at 0 and 1e9 in three dimensions: the bounding box is never allocated
+    far = TrigPoly(3, {(s * 10**9, t, -s * 10**9): complex(1 + s, t) for s in range(2) for t in range(10)})
+    tracemalloc.start()
+    try:
+        got = far * far
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_same_store(got.coeffs, dict_loop_product(far, far))
+    assert peak < 1_000_000
+
+
+_points = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1e-9, -3.75]) | st.floats(-4, 4)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(polys=_polys(1, 0, 12), data=st.data())
+def test_evaluate_matches_scalar_loop(polys, data):
+    f = polys[0]
+    if f.dims == 1 and data.draw(st.booleans()):
+        x = data.draw(st.integers(-7, 7) | _points)
+    else:
+        x = data.draw(st.lists(_points, min_size=f.dims, max_size=f.dims))
+    assert _bits(f.evaluate(x)) == _bits(scalar_evaluate(f, x))
+
+
+def test_evaluate_exact_and_float_coefficients(rng):
+    for f in (random_exact_poly(rng, 2, n_modes=5), TrigPoly(1, {(1,): 0.5, (-3,): 2})):
+        x = [0.3] * f.dims
+        assert _bits(f.evaluate(x)) == _bits(scalar_evaluate(f, x))
+    assert TrigPoly.zero(2).evaluate((0.1, 0.2)) == 0j
+    with pytest.raises(ValueError):  # math.cos(inf) is a domain error
+        TrigPoly.mode(1, (3,), 1.0).evaluate(1e308)
+
+
+def test_numpy_cos_sin_match_math():
+    """The bit-identity of evaluate and of the section check rests on this."""
+    rng_np = np.random.default_rng(8)
+    x = np.concatenate([
+        rng_np.uniform(-1, 1, 20000),
+        rng_np.uniform(-100, 100, 20000),
+        2 * math.pi * rng_np.uniform(-50, 50, 20000),
+        rng_np.uniform(-1e6, 1e6, 20000),
+        np.array([0.0, -0.0, 1e-300, math.pi, -math.pi / 2, 1e22]),
+    ])
+    xs = x.tolist()
+    assert np.cos(x).tolist() == [math.cos(v) for v in xs], "np.cos differs from math.cos"
+    assert np.sin(x).tolist() == [math.sin(v) for v in xs], "np.sin differs from math.sin"

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import random
 from fractions import Fraction
@@ -9,11 +10,15 @@ import pytest
 from conftest import random_gaussian_rational, random_real_poly
 from leafcoh.errors import NonpositiveError, ObstructionError
 from leafcoh.exact import GaussianRational, PhaseCoeff
-from leafcoh.fourier import TrigPoly
+from leafcoh import skewflow
+from leafcoh.fourier import TrigPoly, _to_complex
 from leafcoh.leafwise import SmallDivisorDiagnostic
-from leafcoh.scalars import ApproximateReal, Rational, golden_ratio_conjugate
+from leafcoh.scalars import ApproximateReal, Rational, as_scalar, golden_ratio_conjugate
 from leafcoh.skewflow import (
+    MAX_RK4_STEPS,
+    MAX_SECTION_SAMPLES,
     KroneckerFlowSpec,
+    SectionStraightening,
     birkhoff_flow_average,
     birkhoff_map_average,
     circle_cohom_solve,
@@ -144,6 +149,127 @@ def test_section_positivity_required():
     f = TrigPoly(1, {(0,): 0.1, (1,): 0.5, (-1,): 0.5})
     with pytest.raises(NonpositiveError):
         straighten_cross_section(f, GOLDEN)
+
+
+def scalar_real_evaluator(f: TrigPoly):
+    """Real evaluation on T^1 one point at a time (the oracle's field)."""
+    terms = []
+    const = 0.0
+    for k, c in f.coeffs.items():
+        cc = _to_complex(c)
+        if k[0] == 0:
+            const += cc.real
+        elif k[0] > 0:
+            terms.append((2.0 * math.pi * k[0], 2.0 * cc.real, -2.0 * cc.imag))
+
+    def ev(u: float) -> float:
+        total = const
+        for w, a, b in terms:
+            total += a * math.cos(w * u) + b * math.sin(w * u)
+        return total
+
+    return ev
+
+
+def scalar_section(f: TrigPoly, alpha, tol=1e-6, samples=32, rk4_step=None):
+    """The leg-by-leg RK4 section check, kept as the oracle of the lockstep one."""
+    alpha = as_scalar(alpha)
+    sol = circle_cohom_solve(f, alpha, tol=min(tol, 1e-9))
+    g, c = sol.g, sol.c
+    rho_ev = scalar_real_evaluator(suspension_density(f, alpha))
+    h = rk4_step if rk4_step is not None else min(1e-3, math.sqrt(tol))
+    af = alpha.to_float()
+    gev = scalar_real_evaluator(g)
+
+    def field(x, y):
+        s = 1.0 / rho_ev(x % 1.0)
+        return af * s, s
+
+    def integrate(x, y, T, trace=None):
+        t = 0.0
+        sgn = 1.0 if T >= 0 else -1.0
+        remaining = abs(T)
+        while remaining > 0.0:
+            step = min(h, remaining)
+            k1 = field(x, y)
+            k2 = field(x + sgn * step * k1[0] / 2, y + sgn * step * k1[1] / 2)
+            k3 = field(x + sgn * step * k2[0] / 2, y + sgn * step * k2[1] / 2)
+            k4 = field(x + sgn * step * k3[0], y + sgn * step * k3[1])
+            x += sgn * step * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]) / 6
+            y += sgn * step * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]) / 6
+            remaining -= step
+            t += sgn * step
+            if trace is not None and (len(trace) == 0 or abs(t - trace[-1][0]) >= 0.01):
+                trace.append((t, x % 1.0, y % 1.0))
+        return x, y
+
+    def torus_dist(p, q):
+        return max(
+            min(abs((p[0] - q[0]) % 1.0), 1 - abs((p[0] - q[0]) % 1.0)),
+            min(abs((p[1] - q[1]) % 1.0), 1 - abs((p[1] - q[1]) % 1.0)),
+        )
+
+    worst, trajectory, lengths = 0.0, [], []
+    for j in range(samples):
+        x = j / samples
+        rx = (x + af) % 1.0
+        lengths += [-gev(x), -gev(rx)]
+        p = integrate(x, 0.0, -gev(x))
+        q = integrate(rx, 0.0, -gev(rx))
+        d = integrate(p[0], p[1], c, trace=trajectory if j == 0 else None)
+        worst = max(worst, torus_dist(d, q))
+    return SectionStraightening(g, c, worst, samples, h, trajectory), lengths
+
+
+def _return_time(a1, a2=0.0, t2=0.0):
+    c1, c2 = complex(a1, 0.0), a2 * complex(math.cos(t2), math.sin(t2))
+    return TrigPoly(1, {(0,): 1.0 + 0j, (1,): c1, (-1,): c1.conjugate(), (2,): c2, (-2,): c2.conjugate()})
+
+
+@pytest.mark.parametrize(
+    "f, alpha, kwargs",
+    [
+        (_return_time(0.15), GOLDEN, {}),
+        (_return_time(0.15), GOLDEN, {"samples": 33}),
+        (_return_time(0.08, 0.015, 1.3), GOLDEN, {"samples": 40, "rk4_step": 3.7e-3}),
+        (_return_time(0.2), Rational(1, 4), {"rk4_step": 0.01}),
+        (_return_time(0.1, 0.02, 4.0), ApproximateReal(0.3819660112501051), {"rk4_step": 0.05}),
+        (_return_time(0.05), GOLDEN, {"rk4_step": 0.37}),
+        (_return_time(0.12, 0.01, 2.0), Rational(3, 7), {"tol": 1e-4, "samples": 48}),
+        (TrigPoly.constant(1, 2.5), GOLDEN, {"rk4_step": 0.1}),
+    ],
+)
+def test_section_matches_scalar_rk4(f, alpha, kwargs):
+    got = straighten_cross_section(f, alpha, **kwargs)
+    want, lengths = scalar_section(f, alpha, **kwargs)
+    assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+    if f.coeffs.keys() != {(0,)}:  # legs run backward and forward in time
+        assert min(lengths) < 0 < max(lengths)
+
+
+def test_section_refuses_unbounded_work_before_integrating(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the section check started work it should have refused")
+
+    f = _return_time(0.15)
+    monkeypatch.setattr(skewflow, "_rk4_legs", no_work)
+    for kwargs in ({"rk4_step": 1e-12}, {"rk4_step": 0.0}, {"rk4_step": -1e-3},
+                   {"rk4_step": float("nan")}, {"tol": 1e-30}):
+        with pytest.raises(ValueError):
+            straighten_cross_section(f, GOLDEN, **kwargs)
+    monkeypatch.setattr(skewflow, "circle_cohom_solve", no_work)
+    monkeypatch.setattr(skewflow, "_real_evaluator", no_work)
+    with pytest.raises(ValueError, match="sample points"):
+        straighten_cross_section(f, GOLDEN, samples=10**8, rk4_step=1e-12)
+    with pytest.raises(ValueError, match="sample points"):
+        straighten_cross_section(f, GOLDEN, samples=MAX_SECTION_SAMPLES + 1)
+
+
+def test_section_step_budget_admits_the_default_check():
+    f = _return_time(0.15)
+    # 2*32 legs of |g| <= 0.06 and 32 of length 1 at h = 1e-3: far inside the budget
+    assert straighten_cross_section(f, GOLDEN).max_deviation < 1e-6
+    assert 32 * 1.2 / 1e-3 < MAX_RK4_STEPS
 
 
 def test_suspension_density_return_time_identity(rng):
