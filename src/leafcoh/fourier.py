@@ -32,9 +32,6 @@ TWO_PI = 2.0 * math.pi
 
 # frequencies inside +-2^62 keep every pair sum inside int64
 _INT64_SAFE = 1 << 62
-# smaller products run faster in the dict loop (see TrigPoly.__mul__)
-_KERNEL_MIN_COLS = 16
-_KERNEL_MIN_PAIRS = 400
 
 ExactLike = (ExactCoeff, PhaseCoeff)
 
@@ -134,22 +131,16 @@ class TrigPoly:
         it, the modes k2 of ``other``, both in dict order: the product
         c1 * c2 is added to the coefficient of k1 + k2, a sum that is exactly
         0 deletes the key and a zero product is never inserted.  When both
-        operands hold only ``complex`` coefficients and the product is large
-        enough to pay for the array set-up (``_KERNEL_MIN_COLS`` modes in
-        ``other``, ``_KERNEL_MIN_PAIRS`` mode pairs), ``_float_product``
+        operands hold only ``complex`` coefficients, ``_float_product``
         replays that loop one row k1 at a time on arrays; coefficients,
-        their type and the key order of the result are the same.
+        their type and the key order of the result are the same.  Exact or
+        mixed coefficients, and the supports that ``_float_product`` turns
+        down, run the loop itself.
         """
         if not isinstance(other, TrigPoly):
             return self.scale(other)
         self._check_dims(other)
-        nb = len(other.coeffs)
-        if (
-            nb >= _KERNEL_MIN_COLS
-            and len(self.coeffs) * nb >= _KERNEL_MIN_PAIRS
-            and _all_complex(self)
-            and _all_complex(other)
-        ):
+        if _all_complex(self) and _all_complex(other):
             out = _float_product(self.coeffs, other.coeffs)
             if out is not None:
                 return _wrap(self.dims, out)
@@ -240,6 +231,11 @@ class TrigPoly:
         ``np.sin`` agree with ``math.cos`` and ``math.sin`` to the bit
         (``tests/test_fourier.py`` checks this), and an infinite phase
         raises ValueError as ``math.cos`` does.
+
+        The phase is a plain left-to-right float sum on every interpreter.
+        The earlier loop built it with ``sum()``, which compensates float
+        sums from Python 3.12 on, so on 3.12 and later an evaluation on
+        T^3 and up can differ from that loop in the last bit.
         """
         pt = (x,) if isinstance(x, (int, float)) else tuple(float(v) for v in x)
         if len(pt) != self.dims:
@@ -311,8 +307,9 @@ def _float_product(a: dict, b: dict) -> dict | None:
     numpy's complex multiply), the sums with the live coefficients, the
     deletion of exact zeros, and an insertion stamp i * |b| + j for every
     key that turns live.  Sorting the live keys by stamp gives the dict
-    order of the loop.  Memory is O(|a| |b|); frequencies outside +-2^62
-    return None (the caller runs the loop).
+    order of the loop.  Memory is O(|a| |b|).  Frequencies outside +-2^62,
+    and supports whose sums spread over more than 4 |a| |b| cells, return
+    None: the caller runs the loop, which needs only O(output) memory.
     """
     if not a or not b:
         return {}
@@ -324,9 +321,12 @@ def _float_product(a: dict, b: dict) -> dict | None:
     for k in (ka, kb):
         if k.min() <= -_INT64_SAFE or k.max() >= _INT64_SAFE:
             return None
+    ids = _pair_ids(ka, kb)
+    if ids is None:
+        return None
+    rows, m = ids
     va = np.array(list(a.values()), dtype=complex)
     vb = np.array(list(b.values()), dtype=complex)
-    rows, m = _pair_ids(ka, kb)
     nb = len(kb)
     # row i of the products is xr * B + xi * Bs = (xr*br - xi*bi, xr*bi + xi*br)
     B = np.stack([vb.real, vb.imag], axis=1)
@@ -354,29 +354,21 @@ def _float_product(a: dict, b: dict) -> dict | None:
 
 
 def _pair_ids(ka: np.ndarray, kb: np.ndarray):
-    """Number the distinct sums ka[i] + kb[j] by ids below m: the id rows, and m.
+    """Number the sums ka[i] + kb[j] by their cell in the bounding box of the sums.
 
-    Row i holds the ids of ka[i] + kb[j] for every j.  When the bounding
-    box of the sums has at most 4 |a| |b| cells, the id of a sum is its
-    cell and each row is computed when it is needed; sparser supports
-    number the |a| |b| sums by sorting them.  Memory is O(|a| |b|) either
-    way, never O(bounding box).
+    Returns the id rows (row i holds the ids of ka[i] + kb[j] for every j,
+    computed when it is needed) and the number of cells m, or None when
+    the box has more than 4 |a| |b| cells.
     """
-    n = len(ka) * len(kb)
     lo_a, lo_b = ka.min(axis=0), kb.min(axis=0)
     span_a, span_b = (ka.max(axis=0) - lo_a).tolist(), (kb.max(axis=0) - lo_b).tolist()
     span = [x + y + 1 for x, y in zip(span_a, span_b)]  # in Python ints: no overflow
-    if math.prod(span) <= 4 * n:
-        stride = np.cumprod([1] + span[:0:-1])[::-1]
-        cell_b = (kb - lo_b) @ stride
-        return (i + cell_b for i in ((ka - lo_a) @ stride).tolist()), math.prod(span)
-    sums = (ka[:, None, :] + kb[None, :, :]).reshape(n, -1)
-    order = np.lexsort(sums.T)
-    fresh = np.ones(n, dtype=bool)
-    fresh[1:] = (sums[order[1:]] != sums[order[:-1]]).any(axis=1)
-    ids = np.empty(n, dtype=np.int64)
-    ids[order] = np.cumsum(fresh) - 1
-    return ids.reshape(len(ka), len(kb)), int(ids.max()) + 1
+    m = math.prod(span)
+    if m > 4 * len(ka) * len(kb):
+        return None
+    stride = np.cumprod([1] + span[:0:-1])[::-1]
+    cell_b = (kb - lo_b) @ stride
+    return (i + cell_b for i in ((ka - lo_a) @ stride).tolist()), m
 
 
 def _num(v) -> float:

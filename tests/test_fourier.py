@@ -236,14 +236,36 @@ def _polys(draw, count, min_modes, max_modes):
     return [TrigPoly(dims, draw(coeffs)) for _ in range(count)]
 
 
+@st.composite
+def _dense_polys(draw, count):
+    """`count` polynomials whose supports fill a small box, so the kernel takes them."""
+    dims = draw(st.integers(1, 3))
+    r = 1 if dims == 3 else 3
+    freq = st.tuples(*[st.integers(-r, r) for _ in range(dims)])
+    coeffs = st.dictionaries(freq, _coeffs, min_size=7, max_size=24)
+    return [TrigPoly(dims, draw(coeffs)) for _ in range(count)]
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(pair=_polys(2, 1, 24))
 def test_product_matches_dict_loop(pair):
     a, b = pair
     for x, y in ((a, b), (b, a)):
         want = dict_loop_product(x, y)
-        assert_same_store(_float_product(x.coeffs, y.coeffs), want)
+        got = _float_product(x.coeffs, y.coeffs)
+        if got is not None:  # None: sparse or int64-unsafe supports, left to the loop
+            assert_same_store(got, want)
         assert_same_store((x * y).coeffs, want)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(pair=_dense_polys(2))
+def test_dense_product_runs_the_kernel(pair):
+    a, b = pair
+    for x, y in ((a, b), (b, a)):
+        got = _float_product(x.coeffs, y.coeffs)
+        assert got is not None
+        assert_same_store(got, dict_loop_product(x, y))
 
 
 def test_product_kernel_cancels_and_reinserts():
@@ -269,8 +291,9 @@ def test_product_beyond_int64_and_far_apart_supports():
         huge = TrigPoly(1, {(top,): 1.0 + 1.0j, **{(k,): 0.5 - 0.25j for k in range(20)}})
         assert _float_product(huge.coeffs, huge.coeffs) is None
         assert_same_store((huge * huge).coeffs, dict_loop_product(huge, huge))
-    # modes at 0 and 1e9 in three dimensions: the bounding box is never allocated
+    # modes at 0 and 1e9 in three dimensions: the kernel declines, the loop runs
     far = TrigPoly(3, {(s * 10**9, t, -s * 10**9): complex(1 + s, t) for s in range(2) for t in range(10)})
+    assert _float_product(far.coeffs, far.coeffs) is None
     tracemalloc.start()
     try:
         got = far * far
