@@ -12,6 +12,13 @@ Two coefficient rings are provided on top of Gaussian rationals:
   obstruction recursion.  For irrational quadratic lambda the phase is
   transcendental, so such a sum vanishes only coefficientwise; for rational
   lambda exponents are reduced cyclotomically.
+
+Both rings answer the coefficient protocol of ``fourier.TrigPoly``:
+``bool(c)`` is the exact zero test (``PhaseCoeff`` runs ``is_zero``),
+``complex(c)`` rounds the value once to float64 from a 40-digit
+(``ExactCoeff``) or 60-digit (``PhaseCoeff``) sum, and ``c.conjugate()`` is
+the exact complex conjugate.  ``GaussianRational`` answers ``complex()`` too
+but keeps ``conj``: it is a coefficient of these rings, not of a ``TrigPoly``.
 """
 
 from __future__ import annotations
@@ -73,7 +80,7 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def to_complex(self) -> complex:
+    def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
 
     def to_mpc(self):
@@ -177,11 +184,14 @@ class ExactCoeff:
     def times_i(self) -> "ExactCoeff":
         return ExactCoeff({k: g * GR_I for k, g in self.terms.items()})
 
-    def conj(self) -> "ExactCoeff":
+    def conjugate(self) -> "ExactCoeff":
         return ExactCoeff({k: g.conj() for k, g in self.terms.items()})
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def tau_degree(self) -> int | None:
         """Common tau power if the element is tau-homogeneous, else None."""
@@ -240,7 +250,7 @@ class ExactCoeff:
         c = a.denominator * b.denominator
         return QuadraticIrrational(int(a * c), int(b * c), c, d)
 
-    def to_complex(self) -> complex:
+    def __complex__(self) -> complex:
         with mpmath.workdps(40):
             tau = 2 * mpmath.pi
             total = mpmath.mpc(0)
@@ -391,7 +401,7 @@ class PhaseCoeff:
         """Multiply by zeta^n."""
         return PhaseCoeff(self.lam, {m + n: g for m, g in self.terms.items()})
 
-    def conj(self) -> "PhaseCoeff":
+    def conjugate(self) -> "PhaseCoeff":
         return PhaseCoeff(self.lam, {-n: g.conj() for n, g in self.terms.items()})
 
     def is_zero(self) -> bool:
@@ -401,6 +411,9 @@ class PhaseCoeff:
             # zeta is transcendental, so monomials are independent over Q(i).
             return False
         return self._is_zero_cyclotomic()
+
+    def __bool__(self) -> bool:
+        return not self.is_zero()
 
     def _is_zero_cyclotomic(self) -> bool:
         # lambda = p/q: zeta is a primitive q-th root of unity (reduced p/q).
@@ -437,7 +450,7 @@ class PhaseCoeff:
                 total += g.to_mpc() * ph
             return total
 
-    def to_complex(self) -> complex:
+    def __complex__(self) -> complex:
         return complex(self.to_mpc())
 
     def __eq__(self, other):

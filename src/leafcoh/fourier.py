@@ -6,6 +6,14 @@ complex float64 by default; the same container also carries the exact
 coefficient rings from :mod:`leafcoh.exact` where distinguishing an exact
 zero from 1e-17 matters (obstruction functionals, calculus identities).
 
+Every coefficient answers Python's number protocol: ``bool(c)`` is false
+exactly when c is zero, ``complex(c)`` is its float64 value and
+``c.conjugate()`` its complex conjugate.  ``complex``, ``float`` and ``int``
+answer natively, the exact rings with an exact zero test (see
+:mod:`leafcoh.exact`).  The container drops zeros through ``bool`` and reads
+values out through ``complex``; only ``is_exact``, ``is_real`` and the
+refusal of phase-valued derivatives look at the coefficient type.
+
 Multiplication is support convolution, so trigonometric polynomials stay
 closed and exact; no grid is involved except in the explicit transforms.
 
@@ -36,24 +44,6 @@ _INT64_SAFE = 1 << 62
 ExactLike = (ExactCoeff, PhaseCoeff)
 
 
-def _is_zero_coeff(c) -> bool:
-    if isinstance(c, ExactLike):
-        return c.is_zero()
-    return c == 0
-
-
-def _conj_coeff(c):
-    if isinstance(c, ExactLike):
-        return c.conj()
-    return c.conjugate()
-
-
-def _to_complex(c) -> complex:
-    if isinstance(c, ExactLike):
-        return c.to_complex()
-    return complex(c)
-
-
 class TrigPoly:
     """Trigonometric polynomial sum_k c_k e^{2 pi i k.x} on T^dims."""
 
@@ -69,7 +59,7 @@ class TrigPoly:
                 key = (k,) if isinstance(k, int) else tuple(int(v) for v in k)
                 if len(key) != dims:
                     raise DimensionError(f"frequency {key} has wrong length for T^{dims}")
-                if not _is_zero_coeff(c):
+                if c:
                     store[key] = c
         self.coeffs = store
 
@@ -92,7 +82,7 @@ class TrigPoly:
         return all(isinstance(c, ExactLike) for c in self.coeffs.values())
 
     def to_float(self) -> "TrigPoly":
-        return TrigPoly(self.dims, {k: _to_complex(c) for k, c in self.coeffs.items()})
+        return TrigPoly(self.dims, {k: complex(c) for k, c in self.coeffs.items()})
 
     # ------------------------------------------------------------------
     # ring operations
@@ -107,10 +97,10 @@ class TrigPoly:
         for k, c in other.coeffs.items():
             if k in out:
                 s = out[k] + c
-                if _is_zero_coeff(s):
-                    del out[k]
-                else:
+                if s:
                     out[k] = s
+                else:
+                    del out[k]
             else:
                 out[k] = c
         return TrigPoly(self.dims, out)
@@ -151,11 +141,11 @@ class TrigPoly:
                 p = c1 * c2
                 if k in out:
                     s = out[k] + p
-                    if _is_zero_coeff(s):
-                        del out[k]
-                    else:
+                    if s:
                         out[k] = s
-                elif not _is_zero_coeff(p):
+                    else:
+                        del out[k]
+                elif p:
                     out[k] = p
         return _wrap(self.dims, out)
 
@@ -164,7 +154,7 @@ class TrigPoly:
     def conj(self) -> "TrigPoly":
         return TrigPoly(
             self.dims,
-            {tuple(-v for v in k): _conj_coeff(c) for k, c in self.coeffs.items()},
+            {tuple(-v for v in k): c.conjugate() for k, c in self.coeffs.items()},
         )
 
     def __eq__(self, other):
@@ -199,11 +189,9 @@ class TrigPoly:
     def is_real(self, tol: float = 0.0) -> bool:
         """True when coefficients satisfy c(-k) = conj(c(k))."""
         for k, c in self.coeffs.items():
-            mk = tuple(-v for v in k)
-            other = self.coeffs.get(mk)
+            other = self.coeffs.get(tuple(-v for v in k))
             if isinstance(c, ExactLike):
-                target = _conj_coeff(c)
-                if other is None or not _is_zero_coeff(other - target):
+                if other is None or other - c.conjugate():
                     return False
             else:
                 o = other if other is not None else 0.0 + 0.0j
@@ -215,7 +203,7 @@ class TrigPoly:
         """Max coefficient modulus (0 for the zero polynomial)."""
         if not self.coeffs:
             return 0.0
-        return max(abs(_to_complex(c)) for c in self.coeffs.values())
+        return max(abs(complex(c)) for c in self.coeffs.values())
 
     # ------------------------------------------------------------------
     # evaluation
@@ -243,7 +231,7 @@ class TrigPoly:
         if not self.coeffs:
             return 0.0 + 0.0j
         freqs = list(self.coeffs)
-        c = _complex_array(self.coeffs.values())
+        c = np.array(list(self.coeffs.values()), dtype=complex)
         with np.errstate(all="ignore"):
             phase = np.zeros(len(freqs))
             for d, xd in enumerate(pt):
@@ -267,7 +255,7 @@ class TrigPoly:
     def to_json(self) -> dict:
         rows = []
         for k in sorted(self.coeffs):
-            c = _to_complex(self.coeffs[k])
+            c = complex(self.coeffs[k])
             rows.append({"k": list(k), "re": c.real, "im": c.imag})
         return {"dims": self.dims, "coeffs": rows}
 
@@ -288,13 +276,6 @@ def _wrap(dims: int, store: dict) -> TrigPoly:
 
 def _all_complex(f: TrigPoly) -> bool:
     return all(type(c) is complex for c in f.coeffs.values())
-
-
-def _complex_array(values) -> np.ndarray:
-    vals = list(values)
-    if not all(type(c) is complex for c in vals):
-        vals = [_to_complex(c) for c in vals]
-    return np.array(vals, dtype=complex)
 
 
 def _float_product(a: dict, b: dict) -> dict | None:
@@ -391,20 +372,18 @@ def frame_derivative(f: TrigPoly, v) -> TrigPoly:
     vv = list(v)
     if len(vv) != f.dims:
         raise DimensionError("direction dimension mismatch")
-    out = {}
     if f.is_exact() and f.coeffs:
         if any(isinstance(c, PhaseCoeff) for c in f.coeffs.values()):
             raise ExactnessError("phase-valued polynomials do not support derivatives")
-        for k, c in f.coeffs.items():
-            factor = _exact_dot(k, vv).times_i().times_tau(1)
-            p = c * factor if isinstance(c, ExactCoeff) else factor * c
-            if not p.is_zero():
-                out[k] = p
-        return TrigPoly(f.dims, out)
+        return TrigPoly(
+            f.dims,
+            {k: c * _exact_dot(k, vv).times_i().times_tau(1) for k, c in f.coeffs.items()},
+        )
+    out = {}
     for k, c in f.coeffs.items():
         w = _float_dot(k, vv)
         if w != 0.0:
-            out[k] = _to_complex(c) * complex(0.0, TWO_PI * w)
+            out[k] = complex(c) * complex(0.0, TWO_PI * w)
     return TrigPoly(f.dims, out)
 
 
@@ -463,7 +442,7 @@ def inverse_grid(f: TrigPoly, N: int):
     arr = np.zeros((N,) * f.dims, dtype=complex)
     for k, c in f.coeffs.items():
         idx = tuple(v % N for v in k)
-        arr[idx] += _to_complex(c)
+        arr[idx] += complex(c)
     return np.fft.ifftn(arr) * arr.size
 
 
@@ -480,7 +459,7 @@ class DecayRow:
 
 def decay_report(f: TrigPoly, exponents) -> list[DecayRow]:
     """For each r report sup over nonzero k of |c_k| |k|^r and the attaining k."""
-    support = [(k, abs(_to_complex(c))) for k, c in f.coeffs.items() if any(k)]
+    support = [(k, abs(complex(c))) for k, c in f.coeffs.items() if any(k)]
     if not support:
         raise EmptySupportError("decay report needs at least one nonzero frequency")
     # smallest |k| wins ties, positive orientation preferred

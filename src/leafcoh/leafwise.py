@@ -33,7 +33,7 @@ from .errors import (
     ObstructionError,
 )
 from .exact import ExactCoeff, _exact_dot, _float_dot
-from .fourier import TrigPoly, frame_derivative, _to_complex
+from .fourier import TrigPoly, frame_derivative
 from .scalars import as_scalar
 
 TWO_PI = 2.0 * math.pi
@@ -288,14 +288,8 @@ def restrict(omega: AmbientForm, F: LinearFoliation) -> LeafwiseForm:
         for C, poly in omega.components.items():
             rows = [[frame_coords[i][c] for i in I] for c in C]
             det = _det(rows, exact)
-            if exact:
-                if det.is_zero():
-                    continue
-                total = total + poly.scale(det)
-            else:
-                if det == 0.0:
-                    continue
-                total = total + poly.scale(complex(det))
+            if det:
+                total = total + poly.scale(det if exact else complex(det))
         if total.coeffs:
             out[I] = total
     return LeafwiseForm(F, k, out)
@@ -307,17 +301,8 @@ def iota_form(xi, F: LinearFoliation, exact: bool = False) -> LeafwiseForm:
     Equals the restriction of sum_i xi_i ds_i; its class spans the image of
     the abelian Lie algebra cohomology inside H^1.
     """
-    comps = {}
-    for i, v in enumerate(xi):
-        if exact:
-            c = ExactCoeff.from_fraction(v)
-            if not c.is_zero():
-                comps[(i,)] = TrigPoly.constant(F.dims, c)
-        else:
-            c = complex(v)
-            if c != 0:
-                comps[(i,)] = TrigPoly.constant(F.dims, c)
-    return LeafwiseForm(F, 1, comps)
+    coeff = ExactCoeff.from_fraction if exact else complex
+    return LeafwiseForm(F, 1, {(i,): TrigPoly.constant(F.dims, coeff(v)) for i, v in enumerate(xi)})
 
 
 # ----------------------------------------------------------------------
@@ -363,7 +348,7 @@ def _divide_small_divisors(modes, divisor, tol: float):
             near.append((mode, size))
         elif num is not None:
             exact = isinstance(d, ExactCoeff)
-            quotients[mode] = num * d.inverse() if exact else _to_complex(num) / d
+            quotients[mode] = num * d.inverse() if exact else complex(num) / d
     return quotients, sorted(near), sorted(resonant)
 
 
@@ -376,16 +361,13 @@ def _frame_divisor(F: LinearFoliation, mode: tuple, exact: bool):
     when `exact` and a float otherwise.
     """
     F_exact = F.is_exact
+    dot = _exact_dot if F_exact else _float_dot
     best = None
     all_zero = True
     for i in range(F.p):
-        if F_exact:
-            d = _exact_dot(mode, F.frame_vector(i, True))
-            size, zero = abs(d.to_complex().real), d.is_zero()
-        else:
-            d = _float_dot(mode, F.frame_vector(i, False))
-            size, zero = abs(d), d == 0.0
-        all_zero = all_zero and zero
+        d = dot(mode, F.frame_vector(i, F_exact))
+        size = abs(complex(d).real)
+        all_zero = all_zero and not d
         if best is None or size > best[2]:
             best = (i, d, size)
     i, d, size = best
@@ -453,7 +435,7 @@ def solve_h1(omega: LeafwiseForm, F: LinearFoliation, tol: float = 1e-9):
         return SmallDivisorDiagnostic("solve_h1 near-resonant modes", tol, near)
 
     means = [omega.component((i,)).mean() for i in range(F.p)]
-    a = tuple(_to_complex(m).real for m in means)
+    a = tuple(complex(m).real for m in means)
     g = TrigPoly(F.dims, g_coeffs)
 
     if exact:
@@ -539,4 +521,4 @@ def minimizability_witness(omega0: LeafwiseForm, F: LinearFoliation, tol: float 
     closure_sup = closure.sup_coeff()
     back = restrict(ambient, F)
     residual = (back - omega0).sup_coeff()
-    return MinimizabilityWitness(_to_complex(c).real, eta, ambient, closure_sup, residual)
+    return MinimizabilityWitness(complex(c).real, eta, ambient, closure_sup, residual)

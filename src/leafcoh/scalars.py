@@ -160,9 +160,6 @@ class Rational:
     def to_mpf(self):
         return _fraction_to_mpf(self.value)
 
-    def to_fraction(self) -> Fraction:
-        return self.value
-
     def __eq__(self, other):
         return isinstance(other, Rational) and self.value == other.value
 

@@ -30,7 +30,7 @@ from .errors import (
     ObstructionError,
 )
 from .exact import ExactCoeff, PhaseCoeff, _exact_dot, _float_dot
-from .fourier import TrigPoly, frame_derivative, inverse_grid, _to_complex
+from .fourier import TrigPoly, frame_derivative, inverse_grid
 from .leafwise import SmallDivisorDiagnostic, _divide_small_divisors
 from .scalars import Rational, RealScalar, as_scalar
 
@@ -87,16 +87,14 @@ def _circle_divisor(alpha: RealScalar, j: int):
 def _flow_frequency(flow: "KroneckerFlowSpec", k: tuple):
     """k . alpha as a float, and whether it is exactly zero."""
     freq = flow.frequency(k)
-    if isinstance(freq, ExactCoeff):
-        return freq.to_complex().real, freq.is_zero()
-    return freq, freq == 0.0
+    return complex(freq).real, not freq
 
 
 def rotate_exact(f: TrigPoly, alpha: RealScalar) -> TrigPoly:
     """f(x + alpha) on T^1 with exactly reduced phases."""
     out = {}
     for k, c in f.coeffs.items():
-        out[k] = _to_complex(c) * _phase_of_multiple(alpha, k[0])
+        out[k] = complex(c) * _phase_of_multiple(alpha, k[0])
     return TrigPoly(1, out)
 
 
@@ -139,7 +137,7 @@ def _circle_solve_core(f: TrigPoly, alpha, tol: float):
     """Circle equation without the real-valuedness gate (the coefficient
     formula is the same for complex data)."""
     alpha = as_scalar(alpha)
-    c = _to_complex(f.mean()).real
+    c = complex(f.mean()).real
 
     def divisor(k):
         div, exactly_zero = _circle_divisor(alpha, k[0])
@@ -169,7 +167,7 @@ def flow_cohom_solve(f: TrigPoly, flow: KroneckerFlowSpec, tol: float = 1e-9):
     if f.dims != flow.n:
         raise DimensionError("function and flow live on different tori")
     _require_real(f, "flow equation data")
-    c = _to_complex(f.mean()).real
+    c = complex(f.mean()).real
 
     def divisor(k):
         w, exactly_zero = _flow_frequency(flow, k)
@@ -203,7 +201,7 @@ def _real_evaluator(f: TrigPoly):
     terms = []
     const = 0.0
     for k, c in f.coeffs.items():
-        cc = _to_complex(c)
+        cc = complex(c)
         if k[0] == 0:
             const += cc.real
         elif k[0] > 0:
@@ -294,12 +292,12 @@ def suspension_density(f: TrigPoly, alpha) -> TrigPoly:
     out = {}
     for k, c in f.coeffs.items():
         if k[0] == 0:
-            out[k] = _to_complex(c)
+            out[k] = complex(c)
             continue
         div, _ = _circle_divisor(alpha, k[0])
         if div == 0:
             raise ObstructionError("resonant mode in return time", modes=[k])
-        out[k] = _to_complex(c) * complex(0.0, TWO_PI * k[0] * af) / div
+        out[k] = complex(c) * complex(0.0, TWO_PI * k[0] * af) / div
     return TrigPoly(1, out)
 
 
@@ -359,7 +357,7 @@ def straighten_cross_section(
     if not h > 0.0:
         raise ValueError(f"rk4_step must be positive, got {h}")
     # |g(x)| <= sum |g_k|: legs x length / step, plus one partial step per leg
-    g_bound = sum(abs(_to_complex(v)) for v in g.coeffs.values())
+    g_bound = sum(abs(complex(v)) for v in g.coeffs.values())
     steps = samples * (2 * g_bound + abs(c)) / h + 3 * samples
     if not steps <= MAX_RK4_STEPS:
         raise ValueError(
@@ -408,12 +406,23 @@ def reparam_invariant_density(f: TrigPoly) -> TrigPoly:
     X preserves Lebesgue measure, so the time-changed flow preserves
     f * Lebesgue; dividing every coefficient by the mean makes the zero mode
     exactly 1.
+
+    Positivity is checked on the 256-point grid on T^1, and on T^n, n >= 2,
+    on the N^n grid of ``inverse_grid`` with N = max(8, 4 * max_frequency);
+    more than 2^20 grid points raise ValueError before any evaluation.
     """
     _require_real(f, "density data")
-    if _grid_min(_real_evaluator(f)) <= 0:
+    if f.dims == 1:
+        low = _grid_min(_real_evaluator(f))
+    else:
+        N = max(8, 4 * f.max_frequency())
+        if N**f.dims > 1 << 20:
+            raise ValueError(f"the positivity check needs {N}^{f.dims} grid points (limit 2^20)")
+        low = np.min(inverse_grid(f, N).real)
+    if low <= 0:
         raise NonpositiveError("density data must be positive")
-    mean = _to_complex(f.mean())
-    return TrigPoly(f.dims, {k: _to_complex(c) / mean for k, c in f.coeffs.items()})
+    mean = complex(f.mean())
+    return TrigPoly(f.dims, {k: complex(c) / mean for k, c in f.coeffs.items()})
 
 
 def orbit_integral(f: TrigPoly, flow: KroneckerFlowSpec, x0, T: float) -> complex:
@@ -426,15 +435,11 @@ def orbit_integral(f: TrigPoly, flow: KroneckerFlowSpec, x0, T: float) -> comple
     pt = tuple(float(v) for v in x0)
     total = 0.0 + 0.0j
     for k, c in f.coeffs.items():
-        base = _to_complex(c) * cmath.exp(2j * math.pi * sum(ki * xi for ki, xi in zip(k, pt)))
-        freq = flow.frequency(k) if any(k) else None
-        if freq is None:
+        base = complex(c) * cmath.exp(2j * math.pi * sum(ki * xi for ki, xi in zip(k, pt)))
+        freq = flow.frequency(k) if any(k) else 0.0
+        if not freq:
             total += base * T
-            continue
-        if isinstance(freq, ExactCoeff):
-            if freq.is_zero():
-                total += base * T
-                continue
+        elif isinstance(freq, ExactCoeff):
             with mpmath.workdps(50):
                 w = freq.to_mpf()
                 theta = mpmath.mpf(T) * w
@@ -442,12 +447,8 @@ def orbit_integral(f: TrigPoly, flow: KroneckerFlowSpec, x0, T: float) -> comple
                 factor = complex((phase - 1) / (2j * mpmath.pi * w))
             total += base * factor
         else:
-            w = freq
-            if w == 0.0:
-                total += base * T
-            else:
-                theta = (T * w) % 1.0
-                total += base * (cmath.exp(2j * math.pi * theta) - 1.0) / (2j * math.pi * w)
+            theta = (T * freq) % 1.0
+            total += base * (cmath.exp(2j * math.pi * theta) - 1.0) / (2j * math.pi * freq)
     return total
 
 
@@ -494,7 +495,7 @@ def birkhoff_map_average(
     def partial(n: int) -> complex:
         total = 0.0 + 0.0j
         for k, c in f.coeffs.items():
-            base = _to_complex(c) * cmath.exp(
+            base = complex(c) * cmath.exp(
                 2j * math.pi * sum(ki * xi for ki, xi in zip(k, pt))
             )
             if not any(k):
@@ -538,7 +539,7 @@ def coboundary_average_bound(f: TrigPoly, flow: KroneckerFlowSpec, T: float) -> 
         w, exactly_zero = _flow_frequency(flow, k)
         if exactly_zero:
             raise ObstructionError("resonant mode in the average bound", modes=[k])
-        total += abs(_to_complex(c)) / (math.pi * abs(w))
+        total += abs(complex(c)) / (math.pi * abs(w))
     return total / T
 
 
@@ -598,7 +599,7 @@ def skew_coboundary(g: TrigPoly, lam) -> TrigPoly:
     lam = as_scalar(lam)
     out: dict = {}
     for (k, m), c in g.coeffs.items():
-        cc = _to_complex(c)
+        cc = complex(c)
         shifted = (k, m + k)
         out[shifted] = out.get(shifted, 0.0 + 0.0j) + cc * _phase_of_multiple(lam, m)
         out[(k, m)] = out.get((k, m), 0.0 + 0.0j) - cc
@@ -616,10 +617,10 @@ def skew_coboundary_exact(g_coeffs: dict, lam) -> TrigPoly:
     def add(key, val: PhaseCoeff):
         cur = out.get(key)
         new = val if cur is None else cur + val
-        if new.is_zero():
-            out.pop(key, None)
-        else:
+        if new:
             out[key] = new
+        else:
+            out.pop(key, None)
 
     for (k, m), c in g_coeffs.items():
         pc = c if isinstance(c, PhaseCoeff) else PhaseCoeff.from_gaussian(lam, c)
@@ -658,7 +659,7 @@ def katok_obstructions(
     zero_modes = {(m,): c for (k, m), c in f.coeffs.items() if k == 0}
     zero_section = None
     if zero_modes:
-        fz = TrigPoly(1, {m: _to_complex(c) for m, c in zero_modes.items()})
+        fz = TrigPoly(1, {m: complex(c) for m, c in zero_modes.items()})
         try:
             zero_section = _circle_solve_core(fz, lam, tol)
         except ObstructionError as e:
@@ -734,9 +735,7 @@ def _phase_mpc(lam: RealScalar, j: int):
 def _coeff_mpc(c, dps: int):
     if isinstance(c, PhaseCoeff):
         return c.to_mpc(dps)
-    if isinstance(c, ExactCoeff):
-        return mpmath.mpc(c.to_complex())
-    return mpmath.mpc(c)
+    return mpmath.mpc(complex(c))
 
 
 def _coeff_phase(c, lam) -> PhaseCoeff:

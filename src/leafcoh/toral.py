@@ -371,57 +371,31 @@ class CohomologyReport:
         return out
 
 
-def wang_dims_from_stable_eigenvalues(
-    eigs, tol: float = 1e-8, certified_hyperbolic: bool = True
-) -> CohomologyReport:
-    """Suspension weak-stable cohomology dims from the stable spectrum.
+def wang_dims_from_stable_eigenvalues(eigs, tol: float = 1e-8) -> CohomologyReport:
+    """Suspension weak-stable cohomology dims from a certified stable spectrum.
 
     For each degree k the connecting map acts on the k-th exterior power
     with eigenvalues all k-fold products of stable eigenvalues; a product
-    within tol of 1 contributes one dimension to kernel and cokernel.
-    Degree 0 always contributes (constants are fixed), so the dims vector is
-    dims[k] = coker_{k-1} + ker_k over degrees 0..p+1.
+    within tol of 1 would contribute one dimension to kernel and cokernel,
+    which a hyperbolic spectrum rules out, so it raises IllConditionedError.
+    Only degree 0 contributes (constants are fixed), so over degrees 0..p+1
+    dims[k] = coker_{k-1} + ker_k is (1, 1, 0, ..., 0).
     """
     eigs = [complex(z) for z in eigs]
     p = len(eigs)
-    d = [0] * (p + 1)
-    d[0] = 1
-    min_sep = math.inf
     for k in range(1, p + 1):
-        for sub in itertools.combinations(range(p), k):
-            prod = 1.0 + 0.0j
-            for i in sub:
-                prod *= eigs[i]
-            gap = abs(prod - 1.0)
-            if gap <= tol:
-                d[k] += 1
-            else:
-                min_sep = min(min_sep, gap)
-    if certified_hyperbolic:
-        if any(d[k] for k in range(1, p + 1)):
-            raise IllConditionedError(
-                "certified hyperbolic spectrum produced an eigenvalue product at 1"
-            )
-        if min_sep <= tol:
-            raise IllConditionedError(
-                f"tolerance {tol} does not separate eigenvalue products from 1 (min gap {min_sep})"
-            )
-    dims = [0] * (p + 2)
-    for k in range(p + 2):
-        ker_k = d[k] if k <= p else 0
-        coker_prev = d[k - 1] if 1 <= k <= p + 1 else 0
-        dims[k] = coker_prev + ker_k
-    notes = ["H^0 pinned to the constants (dense stable leaves assumed)"]
-    if not certified_hyperbolic and any(d[k] for k in range(1, p + 1)):
-        notes.append("dims valid up to extension (uncertified spectrum with products at 1)")
-    return CohomologyReport(tuple(dims), "wang", tuple(notes))
+        for sub in itertools.combinations(eigs, k):
+            if abs(math.prod(sub, start=1.0 + 0.0j) - 1.0) <= tol:
+                raise IllConditionedError(
+                    "certified hyperbolic spectrum produced an eigenvalue product at 1"
+                )
+    notes = ("H^0 pinned to the constants (dense stable leaves assumed)",)
+    return CohomologyReport((1, 1) + (0,) * p, "wang", notes)
 
 
 def wang_cohomology(A: ToralAutomorphism, tol: float = 1e-8) -> CohomologyReport:
     """Cohomology dims of the weak stable foliation of the suspension of A."""
-    return wang_dims_from_stable_eigenvalues(
-        A.stable_eigenvalues, tol=tol, certified_hyperbolic=True
-    )
+    return wang_dims_from_stable_eigenvalues(A.stable_eigenvalues, tol=tol)
 
 
 def compound_matrix(M, k: int):

@@ -1,6 +1,7 @@
 """Record tests/data/cli_golden.json: stdout and exit code of a fixed sweep of
 leafcoh invocations (the README examples, then fn eval, flow section, lie mc
-and fol h1 on seeded inputs).
+and fol h1 on seeded inputs, then runs of every other ``cli.DISPATCH``
+subcommand).
 
     PYTHONPATH=src python tests/data/make_cli_golden.py
 
@@ -127,6 +128,107 @@ def cases():
     g = random_poly(rng, 3, 5, 2, real=True)
     out.append(["fol", "h1", "--p", "2", "--q", "1", "--slope", slope2,
                 "--json", dumps(form(3, [((0,), g), ((1,), g)]))])
+    return out + subcommand_cases(rng)
+
+
+def subcommand_cases(rng):
+    """At least one run of every cli.DISPATCH subcommand the sweep above lacks."""
+    out = []
+    # dio fit: scalar, csv, matrix
+    out += [
+        ["dio", "fit", "--x", GOLDEN, "--k", "300"],
+        ["--output", "csv", "dio", "fit", "--x", "sqrt2", "--k", "100"],
+        ["dio", "fit", "--matrix", '[["sqrt2","quadratic:(1+sqrt3)/2"]]', "--k", "12"],
+    ]
+    # fn ddt with rational, quadratic and float directions; fn dft both ways; fn decay
+    p1 = dumps(poly(1, random_poly(rng, 1, 7, 5)))
+    p2 = dumps(poly(2, random_poly(rng, 2, 15, 3)))
+    out += [
+        ["fn", "ddt", "--json", p1, "--v", "1/2"],
+        ["fn", "ddt", "--json", p2, "--v", f"{GOLDEN},1/3"],
+        ["fn", "ddt", "--json", p2, "--v", "0.37,-2"],
+        ["fn", "ddt", "--json", p2, "--v", "2,-1"],
+    ]
+    samples1 = [[round(rng.uniform(-1, 1), 6), round(rng.uniform(-1, 1), 6)] for _ in range(7)]
+    samples2 = [[[1.0, 0.0], [0.5, -0.25], [0.0, 0.0]],
+                [[0.25, 0.5], [-1.0, 0.0], [0.0, 0.125]],
+                [[0.0, 0.0], [2.0, 1.0], [-0.5, -0.5]]]
+    out += [
+        ["fn", "dft", "--json", dumps(samples1)],
+        ["fn", "dft", "--json", dumps(samples2)],
+        ["fn", "dft", "--json", dumps([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])],
+        ["fn", "dft", "--inverse", "--grid", "11", "--json", p1],
+        ["fn", "dft", "--inverse", "--grid", "7", "--json", p2],
+        ["fn", "dft", "--inverse", "--grid", "5", "--json", p1],
+        ["fn", "decay", "--json", p2, "--r", "0,1,2.5"],
+        ["--output", "csv", "fn", "decay", "--json", p1, "--r", "0.5,3"],
+    ]
+    # fol d, restrict and iota on a two-dimensional foliation of T^3
+    slope2 = '[["1/3"],["quadratic:(1-sqrt5)/2"]]'
+    fol2 = ["--p", "2", "--q", "1", "--slope", slope2]
+    out += [
+        ["fol", "d"] + fol2 + ["--json", dumps(form(3, [((), random_poly(rng, 3, 8, 2))], degree=0))],
+        ["fol", "d"] + fol2 + ["--json", dumps(form(3, [((0,), random_poly(rng, 3, 6, 2)),
+                                                          ((1,), random_poly(rng, 3, 6, 2))]))],
+        ["fol", "restrict"] + fol2 + ["--json", dumps(form(3, [((0,), random_poly(rng, 3, 5, 2)),
+                                                                 ((2,), random_poly(rng, 3, 5, 2))]))],
+        ["fol", "restrict"] + fol2 + ["--json", dumps(form(3, [((0, 2), random_poly(rng, 3, 5, 2)),
+                                                                 ((1, 2), random_poly(rng, 3, 5, 2))],
+                                                              degree=2))],
+        ["fol", "iota"] + fol2 + ["--xi", "1,0.5"],
+        ["fol", "iota"] + fol2 + ["--xi", "0,-0.0"],
+    ]
+    # fol minwitness: solvable for the golden slope, exactly resonant for 1/3
+    top = form(2, [((0,), {(0, 0): 1.0 + 0j, (1, 1): 0.25 - 0.5j, (-1, -1): 0.25 + 0.5j, (2, -1): 0.125 + 0j})])
+    out += [
+        ["fol", "minwitness", "--p", "1", "--q", "1", "--slope", '[["quadratic:(1-sqrt5)/2"]]', "--json", dumps(top)],
+        ["fol", "minwitness", "--p", "1", "--q", "1", "--slope", '[["1/3"]]',
+         "--json", dumps(form(2, [((0,), {(0, 0): 1.0 + 0j, (1, -3): 0.5 + 0j})]))],
+    ]
+    # toral: certify, slope (exact 2x2, float 3x3), kunneth, irred
+    cubic = "[[0,1,0],[0,0,1],[1,1,0]]"
+    out += [
+        ["toral", "certify", "--matrix", "[[2,1],[1,1]]"],
+        ["toral", "certify", "--matrix", "[[2,1,1],[1,1,0],[1,0,0]]"],
+        ["toral", "certify", "--matrix", "[[1,1],[0,1]]"],
+        ["toral", "slope", "--matrix", "[[2,1],[1,1]]"],
+        ["toral", "slope", "--matrix", "[[2,1,1],[1,1,0],[1,0,0]]"],
+        ["toral", "kunneth", "--dims-f", "1,1,0", "--dims-g", "1,2,1"],
+        ["toral", "irred", "--matrix", "[[2,1],[1,1]]"],
+        ["toral", "irred", "--matrix", cubic],
+        ["toral", "irred", "--matrix", "[[2,0],[0,3]]"],
+    ]
+    # flow solve-flow (solved, resonant) and birkhoff in both modes
+    f2 = dumps(poly(2, {(0, 0): 0.5 + 0j, (1, 2): 0.25 - 0.125j, (-1, -2): 0.25 + 0.125j,
+                        (2, -1): 0.1 + 0j, (-2, 1): 0.1 + 0j}))
+    out += [
+        ["flow", "solve-flow", "--json", f2, "--alpha", f"{GOLDEN},1"],
+        ["flow", "solve-flow", "--json", f2, "--alpha", "0.7236,1"],
+        ["flow", "solve-flow", "--json", f2, "--alpha", "1/2,1"],
+        ["flow", "birkhoff", "--json", f2, "--alpha", f"{GOLDEN},1", "--x0", "0.1,0.2", "--t", "1000"],
+        ["flow", "birkhoff", "--json", f2, "--alpha", "1/2,1", "--x0", "0,0", "--t", "50"],
+        ["--output", "csv", "flow", "birkhoff", "--json", f2, "--alpha", f"{GOLDEN},sqrt2",
+         "--x0", "0.3,0.4", "--mode", "map", "--t", "500"],
+    ]
+    # skew obstructions in the float lane
+    skew_f = dumps(poly(2, {(0, 1): 0.5 + 0j, (0, -1): 0.5 + 0j, (1, 0): 0.5 + 0j, (1, 2): -0.25j,
+                            (-1, 0): 0.5 + 0j, (2, 1): 0.125 + 0j}))
+    out += [
+        ["skew", "obstructions", "--json", skew_f, "--lam", GOLDEN, "--k", "4"],
+        ["skew", "obstructions", "--json", skew_f, "--lam", "1/3", "--k", "1"],
+    ]
+    # lie validate: sl2 and a bracket that breaks the Jacobi identity
+    bad = {"dim": 3, "c": [{"i": 0, "j": 1, "k": 2, "val": "1"}, {"i": 1, "j": 2, "k": 1, "val": "1"},
+                           {"i": 0, "j": 2, "k": 0, "val": "1"}]}
+    out += [
+        ["lie", "validate", "--json", dumps(SL2)],
+        ["lie", "validate", "--json", dumps(bad)],
+    ]
+    # flow density on T^2: positive data, and data that is negative off the line y = 0
+    out += [
+        ["flow", "density", "--json", dumps(poly(2, {(0, 0): 1.0 + 0j, (1, 1): 0.2 + 0j, (-1, -1): 0.2 + 0j}))],
+        ["flow", "density", "--json", dumps(poly(2, {(0, 0): 0.5 + 0j, (0, 1): 0.45 + 0j, (0, -1): 0.45 + 0j}))],
+    ]
     return out
 
 

@@ -152,7 +152,7 @@ def test_criterion_04_katok_obstructions():
         rep = katok_obstructions(f_exact, GOLDEN, 5)
         assert rep.exact and rep.all_zero
         assert all(e.exact_zero for e in rep.entries)
-        g_float = TrigPoly(2, {k: v.to_complex() for k, v in g_coeffs.items()})
+        g_float = TrigPoly(2, {k: complex(v) for k, v in g_coeffs.items()})
         f_float = skew_coboundary(g_float, GOLDEN)
         rep_f = katok_obstructions(f_float, GOLDEN, 5)
         assert all(e.modulus < 1e-12 for e in rep_f.entries)

@@ -138,12 +138,27 @@ GOLDEN_RUNS = json.loads((pathlib.Path(__file__).parent / "data" / "cli_golden.j
 
 
 def test_cli_output_matches_recorded_golden_runs(capsys):
-    """README examples and a sweep of fn eval, flow section, lie mc and fol h1:
-    stdout and exit code byte for byte as recorded (tests/data/make_cli_golden.py)."""
+    """README examples, a sweep of fn eval, flow section, lie mc and fol h1, and
+    runs of every other subcommand: stdout and exit code byte for byte as
+    recorded (tests/data/make_cli_golden.py)."""
     for run_ in GOLDEN_RUNS:
         code, out = run_main(run_["args"])
         capsys.readouterr()
         assert (code, out) == (run_["exit"], run_["stdout"]), run_["args"]
+
+
+def _subcommand(args):
+    """The 'group command' words of an argument list, after the global options."""
+    args = list(args)
+    while args[0] in ("--tol", "--precision", "--output"):
+        args = args[2:]
+    return " ".join(args[:2])
+
+
+def test_every_subcommand_has_a_golden_run():
+    recorded = {_subcommand(run_["args"]) for run_ in GOLDEN_RUNS}
+    missing = sorted(set(DISPATCH.values()) - recorded)
+    assert not missing, f"no run in tests/data/cli_golden.json for {missing}"
 
 
 def test_fit_with_records_of_one_norm_is_a_domain_error():

@@ -15,8 +15,6 @@ from leafcoh.exact import ExactCoeff
 from leafcoh.fourier import (
     TrigPoly,
     _float_product,
-    _is_zero_coeff,
-    _to_complex,
     decay_report,
     frame_derivative,
     grid_transform,
@@ -183,11 +181,11 @@ def dict_loop_product(a: TrigPoly, b: TrigPoly) -> dict:
             p = c1 * c2
             if k in out:
                 s = out[k] + p
-                if _is_zero_coeff(s):
-                    del out[k]
-                else:
+                if s:
                     out[k] = s
-            elif not _is_zero_coeff(p):
+                else:
+                    del out[k]
+            elif p:
                 out[k] = p
     return out
 
@@ -201,7 +199,7 @@ def scalar_evaluate(f: TrigPoly, x) -> complex:
         for ki, xi in zip(k, pt):
             kx = kx + ki * xi
         phase = 2.0 * math.pi * kx
-        total += _to_complex(c) * complex(math.cos(phase), math.sin(phase))
+        total += complex(c) * complex(math.cos(phase), math.sin(phase))
     return total
 
 

@@ -11,7 +11,7 @@ from conftest import random_gaussian_rational, random_real_poly
 from leafcoh.errors import NonpositiveError, ObstructionError
 from leafcoh.exact import GaussianRational, PhaseCoeff
 from leafcoh import skewflow
-from leafcoh.fourier import TrigPoly, _to_complex
+from leafcoh.fourier import TrigPoly
 from leafcoh.leafwise import SmallDivisorDiagnostic
 from leafcoh.scalars import ApproximateReal, Rational, as_scalar, golden_ratio_conjugate
 from leafcoh.skewflow import (
@@ -156,7 +156,7 @@ def scalar_real_evaluator(f: TrigPoly):
     terms = []
     const = 0.0
     for k, c in f.coeffs.items():
-        cc = _to_complex(c)
+        cc = complex(c)
         if k[0] == 0:
             const += cc.real
         elif k[0] > 0:
@@ -297,6 +297,22 @@ def test_density_examples():
     assert d2.coeffs[(1,)] == pytest.approx(0.25)
     with pytest.raises(NonpositiveError):
         reparam_invariant_density(TrigPoly(1, {(0,): 0.2, (1,): 0.5, (-1,): 0.5}))
+
+
+def test_density_checks_positivity_on_the_whole_torus():
+    # f = 0.5 + 0.9 cos(2 pi y) is positive on the line y = 0 and -0.4 at y = 1/2
+    f = TrigPoly(2, {(0, 0): 0.5, (0, 1): 0.45, (0, -1): 0.45})
+    with pytest.raises(NonpositiveError):
+        reparam_invariant_density(f)
+    with pytest.raises(NonpositiveError):
+        reparam_invariant_density(TrigPoly(3, {(0, 0, 0): 0.5, (1, 0, -1): 0.3, (-1, 0, 1): 0.3}))
+    ok = TrigPoly(2, {(0, 0): 2.0, (1, 1): 0.5, (-1, -1): 0.5, (0, 3): 0.25j, (0, -3): -0.25j})
+    dens = reparam_invariant_density(ok)
+    assert dens.coeffs == {k: c / 2.0 for k, c in ok.coeffs.items()}
+    # 4 * 300 = 1200 points a side: 1200^2 > 2^20 is refused before any evaluation
+    wide = TrigPoly(2, {(0, 0): 2.0, (300, 0): 0.5, (-300, 0): 0.5})
+    with pytest.raises(ValueError, match="grid points"):
+        reparam_invariant_density(wide)
 
 
 def test_density_birkhoff_cross_check():
@@ -535,7 +551,7 @@ def test_skew_coboundary_float_exact_agree(rng):
     gf = TrigPoly(2, {(1, 2): complex(Fraction(1, 3), Fraction(-2, 5))})
     ff = skew_coboundary(gf, GOLDEN)
     for k, c in ff.coeffs.items():
-        assert abs(c - fe.coeffs[k].to_complex()) < 1e-14
+        assert abs(c - complex(fe.coeffs[k])) < 1e-14
 
 
 def test_solver_soundness_ten_tol(rng):

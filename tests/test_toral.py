@@ -24,7 +24,6 @@ from leafcoh.toral import (
     stable_foliation,
     stable_slope_matrix,
     wang_cohomology,
-    wang_dims_from_stable_eigenvalues,
 )
 
 CAT = [[2, 1], [1, 1]]
@@ -165,12 +164,6 @@ def test_wang_matches_eigenvalue_product_oracle():
             prods.append(abs(z - 1.0))
     assert min(prods) > 1e-8
     assert wang_cohomology(A).dims == (1, 1) + (0,) * len(eigs)
-
-
-def test_wang_synthetic_unit_product():
-    rep = wang_dims_from_stable_eigenvalues([2.0, 0.5], certified_hyperbolic=False)
-    assert rep.dims == (1, 1, 1, 1)
-    assert any("up to extension" in n for n in rep.notes)
 
 
 def test_wang_ill_conditioned_tolerance():
