@@ -29,7 +29,7 @@ from .exact import GaussianRational, PhaseCoeff
 from .fourier import TrigPoly
 from .leafwise import AmbientForm, LeafwiseForm, LinearFoliation, SmallDivisorDiagnostic
 from .liealg import LieAlgebraSpec
-from .scalars import as_scalar, parse_scalar
+from .scalars import as_scalar, finite_float, parse_scalar
 from .skewflow import KroneckerFlowSpec
 
 # every module operation is reachable from exactly one subcommand
@@ -122,7 +122,7 @@ def _poly_from_obj(obj, exact: bool, lam=None) -> TrigPoly:
 
 
 def _parse_floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip() != ""]
+    return [finite_float(v) for v in text.split(",") if v.strip() != ""]
 
 
 def _parse_scalars(text: str) -> list:
@@ -139,7 +139,7 @@ def _parse_matrix(text: str) -> list:
 
 
 @click.group()
-@click.option("--tol", type=float, default=None, help="tolerance override")
+@click.option("--tol", type=finite_float, default=None, help="tolerance override")
 @click.option(
     "--precision",
     type=click.Choice(["float", "exact"]),
@@ -185,7 +185,7 @@ def dio_cf(ctx, x, n):
 @dio.command("margin")
 @click.option("--x", "x", default=None, help="scalar input")
 @click.option("--matrix", "matrix", default=None, help="JSON rows of scalars")
-@click.option("--rho", type=float, required=True)
+@click.option("--rho", type=finite_float, required=True)
 @click.option("--k", "k", type=int, required=True, help="search radius")
 @click.pass_context
 def dio_margin(ctx, x, matrix, rho, k):
@@ -268,7 +268,7 @@ def _nested_complex(obj):
     if isinstance(obj[0], (int, float)):
         if len(obj) != 2:
             raise ValueError(f"sample {obj!r} is not an [re, im] pair")
-        return complex(obj[0], obj[1])
+        return complex(finite_float(obj[0]), finite_float(obj[1]))
     return [_nested_complex(sub) for sub in obj]
 
 
@@ -385,20 +385,23 @@ def toral():
     """Hyperbolic toral automorphisms."""
 
 
+def _certified(ctx, matrix: str):
+    """The --matrix of a toral subcommand, certified with --tol as cert_tol."""
+    return toral_mod.certify_hyperbolic(json.loads(matrix), cert_tol=_tol(ctx, 1e-8))
+
+
 @toral.command("certify")
 @click.option("--matrix", required=True, help="row-major integer JSON")
 @click.pass_context
 def toral_certify(ctx, matrix):
-    A = toral_mod.certify_hyperbolic(json.loads(matrix))
-    return _emit(ctx, A.to_json())
+    return _emit(ctx, _certified(ctx, matrix).to_json())
 
 
 @toral.command("slope")
 @click.option("--matrix", required=True)
 @click.pass_context
 def toral_slope(ctx, matrix):
-    A = toral_mod.certify_hyperbolic(json.loads(matrix))
-    B, split = toral_mod.stable_slope_matrix(A)
+    B, split = toral_mod.stable_slope_matrix(_certified(ctx, matrix))
     payload = {
         "B": [[s.to_json() for s in row] for row in B],
         "split": split.to_json(),
@@ -410,9 +413,7 @@ def toral_slope(ctx, matrix):
 @click.option("--matrix", required=True)
 @click.pass_context
 def toral_wang(ctx, matrix):
-    A = toral_mod.certify_hyperbolic(json.loads(matrix))
-    rep = toral_mod.wang_cohomology(A, tol=_tol(ctx, 1e-8))
-    return _emit(ctx, rep.to_json())
+    return _emit(ctx, toral_mod.wang_cohomology(_certified(ctx, matrix)).to_json())
 
 
 @toral.command("kunneth")
@@ -476,7 +477,7 @@ def flow_solve_flow(ctx, file, inline, alpha):
 @click.option("--json", "inline", default=None)
 @click.option("--alpha", required=True)
 @click.option("--samples", type=int, default=32)
-@click.option("--step", type=float, default=None)
+@click.option("--step", type=finite_float, default=None)
 @click.pass_context
 def flow_section(ctx, file, inline, alpha, samples, step):
     f = TrigPoly.from_json(_load_json_arg(file, inline, "return time"))
@@ -504,7 +505,7 @@ def flow_density(ctx, file, inline):
 @click.option("--alpha", required=True, help="comma-separated direction scalars")
 @click.option("--x0", required=True, help="comma-separated start point")
 @click.option("--mode", type=click.Choice(["flow", "map"]), default="flow")
-@click.option("--t", "horizon", type=float, required=True, help="T (flow) or N (map)")
+@click.option("--t", "horizon", type=finite_float, required=True, help="T (flow) or N (map)")
 @click.pass_context
 def flow_birkhoff(ctx, file, inline, alpha, x0, mode, horizon):
     f = TrigPoly.from_json(_load_json_arg(file, inline, "observable"))

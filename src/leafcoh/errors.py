@@ -44,10 +44,6 @@ class NotHyperbolicError(LeafcohError):
     """Some eigenvalue modulus sits inside the certification band around 1."""
 
 
-class IllConditionedError(LeafcohError):
-    """A tolerance is too coarse to separate the quantities it must classify."""
-
-
 class InsufficientDataError(LeafcohError):
     """Fewer data points than the requested computation needs."""
 

@@ -35,6 +35,7 @@ import numpy as np
 
 from .errors import AmbiguityError, DimensionError, EmptySupportError, ExactnessError
 from .exact import ExactCoeff, PhaseCoeff, _exact_dot, _float_dot
+from .scalars import finite_float
 
 TWO_PI = 2.0 * math.pi
 
@@ -353,9 +354,7 @@ def _pair_ids(ka: np.ndarray, kb: np.ndarray):
 
 
 def _num(v) -> float:
-    if isinstance(v, str):
-        return float(Fraction(v))
-    return float(v)
+    return finite_float(Fraction(v) if isinstance(v, str) else v)
 
 
 # ----------------------------------------------------------------------

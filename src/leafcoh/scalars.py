@@ -281,6 +281,16 @@ class QuadraticIrrational:
         return {"kind": "quadratic", "a": self.a, "b": self.b, "c": self.c, "d": self.d}
 
 
+def finite_float(value) -> float:
+    """float(value); NaN and the infinities raise ValueError.  The check for
+    floats read at the CLI boundary.  ApproximateReal inlines the same test,
+    because the float Diophantine search builds one per candidate."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite float {value!r}")
+    return value
+
+
 class ApproximateReal:
     """Float64 scalar tagged as approximate; exact queries refuse it."""
 

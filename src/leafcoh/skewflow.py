@@ -9,8 +9,8 @@ chains; running each chain upward from below the support produces one
 obstruction value per residue class, and a finitely supported function is a
 coboundary in its oscillating part exactly when all obstruction values
 vanish.  Exact mode carries the chain values as phase polynomials with
-Gaussian rational coefficients next to a high-precision numeric lane, and a
-value is declared zero only when both lanes agree.
+Gaussian rational coefficients: the symbol decides whether a value is zero,
+and a nonzero value is read out once at high precision.
 """
 
 from __future__ import annotations
@@ -642,9 +642,11 @@ def katok_obstructions(
     (later ones have the same modulus).  All obstructions vanish iff the
     oscillating part of f is a coboundary of a trigonometric polynomial.
 
-    With PhaseCoeff coefficients the recursion is carried exactly and also
-    at dps-digit precision; a value is declared exactly zero only when the
-    symbolic result is zero and the numeric lane is consistent with zero.
+    With PhaseCoeff coefficients the recursion runs on the phase symbol
+    alone.  The symbol decides: an entry is exactly zero iff the symbol is
+    zero, and then reports the value 0j; a nonzero symbol is read out once
+    at dps digits.  Float coefficients run the recursion in dps-digit
+    complex arithmetic and compare the modulus with tol.
     """
     if f.dims != 2:
         raise DimensionError("skew obstructions live on T^2")
@@ -654,6 +656,8 @@ def katok_obstructions(
     exact = f.is_exact() and bool(f.coeffs)
     if exact and not lam.is_exact:
         raise ExactnessError("exact obstruction mode requires an exact slope")
+    if exact and not all(isinstance(c, PhaseCoeff) for c in f.coeffs.values()):
+        raise ExactnessError("exact obstruction mode requires PhaseCoeff coefficients")
 
     # zero section: circle equation in y
     zero_modes = {(m,): c for (k, m), c in f.coeffs.items() if k == 0}
@@ -675,51 +679,44 @@ def katok_obstructions(
         r = m % abs(k)
         chains.setdefault((k, r), []).append(m)
 
+    # the lane's zero, a coefficient in the lane, and the steps that multiply
+    # or divide a chain value by the phase e^{2 pi i j lam}
+    if exact:
+        start, coeff = PhaseCoeff.zero(lam), lambda c: c
+        up, down = PhaseCoeff.shift_phase, lambda v, j: v.shift_phase(-j)
+    else:
+        start, coeff = mpmath.mpc(0), lambda c: _coeff_mpc(c, dps)
+        up, down = lambda v, j: _phase_mpc(lam, j) * v, lambda v, j: v / _phase_mpc(lam, j)
+
     entries = []
     all_zero = True
     for (k, r), ms in sorted(chains.items(), key=lambda t: (abs(t[0][0]), t[0][0], t[0][1])):
         m_lo, m_hi = min(ms), max(ms)
         step = abs(k)
-        if exact:
-            value_sym = PhaseCoeff.zero(lam)
-        g_num = mpmath.mpc(0)
-        err = mpmath.mpf(0)
+        value = start
         # iterate so the final value is the first chain entry above the support
         ms_iter = range(m_lo, m_hi + step + 1, step) if k > 0 else range(m_lo, m_hi + 1, step)
         with mpmath.workdps(dps):
-            eps = mpmath.mpf(2) ** (10 - mpmath.mp.prec)
             for m in ms_iter:
                 fc = f.coeffs.get((k, m))
                 if k > 0:
                     # g_m = phase(m-k) g_{m-k} - f_m
-                    g_num = _phase_mpc(lam, m - k) * g_num
+                    value = up(value, m - k)
                     if fc is not None:
-                        g_num -= _coeff_mpc(fc, dps)
-                    if exact:
-                        value_sym = value_sym.shift_phase(m - k)
-                        if fc is not None:
-                            value_sym = value_sym - _coeff_phase(fc, lam)
+                        value = value - coeff(fc)
                 else:
                     # g_{m+|k|} = (g_m + f_m) / phase(m-k)
                     if fc is not None:
-                        g_num += _coeff_mpc(fc, dps)
-                    g_num = g_num / _phase_mpc(lam, m - k)
-                    if exact:
-                        if fc is not None:
-                            value_sym = value_sym + _coeff_phase(fc, lam)
-                        value_sym = value_sym.shift_phase(-(m - k))
-                err = err + (abs(g_num) + 1) * eps
-        val = complex(g_num)
+                        value = value + coeff(fc)
+                    value = down(value, m - k)
         if exact:
-            sym_zero = value_sym.is_zero()
-            num_zero = abs(g_num) <= err * 100
-            is_zero = sym_zero and num_zero
-            entries.append(
-                ObstructionEntry(k, r, val, 0.0 if is_zero else abs(val), is_zero)
-            )
+            is_zero = not value
+            val = 0j if is_zero else complex(value.to_mpc(dps))
+            entries.append(ObstructionEntry(k, r, val, abs(val), is_zero))
             if not is_zero:
                 all_zero = False
         else:
+            val = complex(value)
             entries.append(ObstructionEntry(k, r, val, abs(val)))
             if abs(val) > tol:
                 all_zero = False
@@ -737,8 +734,3 @@ def _coeff_mpc(c, dps: int):
         return c.to_mpc(dps)
     return mpmath.mpc(complex(c))
 
-
-def _coeff_phase(c, lam) -> PhaseCoeff:
-    if isinstance(c, PhaseCoeff):
-        return c
-    raise ExactnessError("exact obstruction mode requires PhaseCoeff coefficients")

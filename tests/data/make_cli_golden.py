@@ -1,12 +1,14 @@
 """Record tests/data/cli_golden.json: stdout and exit code of a fixed sweep of
 leafcoh invocations (the README examples, then fn eval, flow section, lie mc
-and fol h1 on seeded inputs, then runs of every other ``cli.DISPATCH``
-subcommand).
+and fol h1 on seeded inputs, runs of every other ``cli.DISPATCH``
+subcommand, then exact obstruction chains that vanish, an over-large --tol
+and non-finite floats).
 
     PYTHONPATH=src python tests/data/make_cli_golden.py
 
 Re-record only after a deliberate output change; test_cli.py compares every
-invocation byte for byte.
+invocation byte for byte.  Rewriting the file prints one JSON line (args,
+old, new) for each invocation whose exit code or stdout changed.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import io
 import json
 import pathlib
 import random
+from fractions import Fraction
 
 from leafcoh.cli import main
 
@@ -128,7 +131,7 @@ def cases():
     g = random_poly(rng, 3, 5, 2, real=True)
     out.append(["fol", "h1", "--p", "2", "--q", "1", "--slope", slope2,
                 "--json", dumps(form(3, [((0,), g), ((1,), g)]))])
-    return out + subcommand_cases(rng)
+    return out + subcommand_cases(rng) + exact_zero_and_refusal_cases()
 
 
 def subcommand_cases(rng):
@@ -232,6 +235,47 @@ def subcommand_cases(rng):
     return out
 
 
+def quarter_coboundary(g):
+    """g o F - g for F(x, y) = (x + y, y + 1/4) as JSON rows of exact strings.
+
+    At lam = 1/4, zeta = e^{2 pi i lam} = i, so every coefficient of the
+    coboundary is a Gaussian rational; g maps (k, m) to (re, im) Fractions."""
+    f = {}
+    for (k, m), (re, im) in g.items():
+        for _ in range(m % 4):
+            re, im = -im, re
+        for key, (a, b) in (((k, m + k), (re, im)), ((k, m), (-g[(k, m)][0], -g[(k, m)][1]))):
+            old = f.get(key, (Fraction(0), Fraction(0)))
+            f[key] = (old[0] + a, old[1] + b)
+    rows = [{"k": list(key), "re": str(a), "im": str(b)} for key, (a, b) in f.items() if a or b]
+    return dumps({"dims": 2, "coeffs": rows})
+
+
+def exact_zero_and_refusal_cases():
+    """Exact obstruction chains that vanish, an over-large --tol, and non-finite floats."""
+    F = Fraction
+    g = {(1, 0): (F(1), F(0)), (2, -1): (F(1, 2), F(1)), (-1, 2): (F(-3), F(2, 5)),
+         (-3, 1): (F(0), F(1, 7)), (2, 2): (F(2), F(-1))}
+    # lam = 1/3: the (3, 1) chain through m = 1, 4, 7 sums to -c (1 + zeta + zeta^2) = 0
+    third = dumps({"dims": 2, "coeffs": [{"k": [3, m], "re": "1/2", "im": "-2"} for m in (1, 4, 7)]
+                   + [{"k": [0, 1], "re": "1", "im": "0"}, {"k": [1, 0], "re": "1", "im": "0"}]})
+    one = dumps({"dims": 1, "coeffs": [{"k": [1], "re": 1, "im": 0}]})
+    two = dumps({"dims": 2, "coeffs": [{"k": [0, 0], "re": 1, "im": 0}, {"k": [1, 1], "re": 0.2, "im": 0}]})
+    return [
+        ["--precision", "exact", "skew", "obstructions", "--json", quarter_coboundary(g), "--lam", "1/4", "--k", "3"],
+        ["--precision", "exact", "skew", "obstructions", "--json", third, "--lam", "1/3", "--k", "3"],
+        ["--tol", "0.99", "toral", "wang", "--matrix", "[[2,1],[1,1]]"],
+        ["dio", "margin", "--x", "sqrt2", "--rho", "nan", "--k", "10"],
+        ["fn", "eval", "--json", one, "--at", "nan"],
+        ["flow", "density", "--json", '{"dims":2,"coeffs":[{"k":[0,0],"re":NaN,"im":0}]}'],
+        ["fn", "decay", "--json", one, "--r", "nan"],
+        ["flow", "birkhoff", "--json", two, "--alpha", "sqrt2,1", "--x0", "0,0", "--t", "nan"],
+        ["flow", "section", "--json", return_time(0.15), "--alpha", GOLDEN, "--step", "inf"],
+        ["--tol", "nan", "toral", "certify", "--matrix", "[[2,1],[1,1]]"],
+        ["fn", "dft", "--json", "[[NaN,0],[1,0],[0,0]]"],
+    ]
+
+
 def run(args):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
@@ -240,9 +284,14 @@ def run(args):
 
 
 if __name__ == "__main__":
+    old = {json.dumps(r["args"]): r for r in json.loads(OUT.read_text())} if OUT.exists() else {}
     rows = []
     for args in cases():
         code, stdout = run(args)
         rows.append({"args": args, "exit": code, "stdout": stdout})
+        prev = old.get(json.dumps(args))
+        if prev is not None and (prev["exit"], prev["stdout"]) != (code, stdout):
+            print(json.dumps({"args": args, "old": [prev["exit"], prev["stdout"]], "new": [code, stdout]}))
     OUT.write_text(json.dumps(rows, indent=1) + "\n", encoding="utf-8")
-    print(f"{len(rows)} invocations -> {OUT}")
+    new = sum(json.dumps(r["args"]) not in old for r in rows)
+    print(f"{len(rows)} invocations ({new} new) -> {OUT}")

@@ -123,6 +123,36 @@ def test_exact_entry_beyond_the_float_range_is_bad_input(capsys):
     assert "Traceback" not in err
 
 
+def test_non_finite_floats_are_bad_input(capsys):
+    """NaN and the infinities in JSON coefficients, point lists and float
+    options exit 1 with nothing on stdout, never with NaN in a report."""
+    one = json.dumps({"dims": 1, "coeffs": [{"k": [1], "re": 1, "im": 0}]})
+    two = json.dumps({"dims": 2, "coeffs": [{"k": [0, 0], "re": 1, "im": 0}, {"k": [1, 1], "re": 0.2, "im": 0}]})
+    rt = json.dumps({"dims": 1, "coeffs": [{"k": [0], "re": 1.0, "im": 0.0}, {"k": [1], "re": 0.15, "im": 0.0},
+                                           {"k": [-1], "re": 0.15, "im": 0.0}]})
+    cases = [
+        ["dio", "margin", "--x", "sqrt2", "--rho", "nan", "--k", "10"],
+        ["dio", "margin", "--x", "sqrt2", "--rho", "inf", "--k", "10"],
+        ["fn", "eval", "--json", one, "--at", "nan"],
+        ["fn", "eval", "--json", one, "--at", "-inf"],
+        ["flow", "density", "--json", '{"dims":2,"coeffs":[{"k":[0,0],"re":NaN,"im":0}]}'],
+        ["fn", "eval", "--json", '{"dims":1,"coeffs":[{"k":[1],"re":1,"im":Infinity}]}', "--at", "0"],
+        ["fn", "decay", "--json", one, "--r", "nan"],
+        ["flow", "birkhoff", "--json", two, "--alpha", "sqrt2,1", "--x0", "0,0", "--t", "nan"],
+        ["flow", "birkhoff", "--json", two, "--alpha", "sqrt2,1", "--x0", "nan,0", "--t", "10"],
+        ["fol", "iota", "--p", "1", "--q", "1", "--slope", '[["sqrt2"]]', "--xi", "nan"],
+        ["flow", "section", "--json", rt, "--alpha", "sqrt2", "--step", "inf"],
+        ["--tol", "nan", "toral", "certify", "--matrix", "[[2,1],[1,1]]"],
+        ["--tol", "inf", "flow", "solve-circle", "--json", one, "--alpha", "sqrt2"],
+        ["fn", "dft", "--json", "[[NaN,0],[1,0],[0,0]]"],
+    ]
+    for args in cases:
+        code, out = run_main(args)
+        err = capsys.readouterr().err
+        assert code == 1 and out == "", args
+        assert "non-finite float" in err and "Traceback" not in err, args
+
+
 def test_section_refuses_unbounded_requests(capsys):
     rt = json.dumps({"dims": 1, "coeffs": [{"k": [0], "re": 1.0, "im": 0.0},
                                            {"k": [1], "re": 0.15, "im": 0.0},

@@ -4,20 +4,30 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_gaussian_rational, random_real_poly
-from leafcoh.errors import NonpositiveError, ObstructionError
-from leafcoh.exact import GaussianRational, PhaseCoeff
+from leafcoh.errors import ExactnessError, NonpositiveError, ObstructionError
+from leafcoh.exact import ExactCoeff, GaussianRational, PhaseCoeff
 from leafcoh import skewflow
 from leafcoh.fourier import TrigPoly
 from leafcoh.leafwise import SmallDivisorDiagnostic
-from leafcoh.scalars import ApproximateReal, Rational, as_scalar, golden_ratio_conjugate
+from leafcoh.scalars import (
+    ApproximateReal,
+    QuadraticIrrational,
+    Rational,
+    as_scalar,
+    golden_ratio_conjugate,
+)
 from leafcoh.skewflow import (
     MAX_RK4_STEPS,
     MAX_SECTION_SAMPLES,
     KroneckerFlowSpec,
+    ObstructionEntry,
     SectionStraightening,
     birkhoff_flow_average,
     birkhoff_map_average,
@@ -543,6 +553,165 @@ def test_katok_sorted_and_negative_chains():
     rep = katok_obstructions(f, GOLDEN, 3)
     keys = [(abs(e.k), e.k, e.r) for e in rep.entries]
     assert keys == sorted(keys)
+
+
+def _oracle_phase_mpc(lam, j: int):
+    if j == 0:
+        return mpmath.mpc(1)
+    return mpmath.expjpi(2 * lam.times_int(j).frac().to_mpf())
+
+
+def _oracle_coeff_mpc(c, dps: int):
+    if isinstance(c, PhaseCoeff):
+        return c.to_mpc(dps)
+    return mpmath.mpc(complex(c))
+
+
+def _oracle_as_phase(c, lam) -> PhaseCoeff:
+    if isinstance(c, PhaseCoeff):
+        return c
+    raise ExactnessError("exact obstruction mode requires PhaseCoeff coefficients")
+
+
+def katok_two_lane_oracle(f: TrigPoly, lam, K: int, tol: float = 1e-9, dps: int = 60):
+    """The chain loop of katok_obstructions with its two lanes: a dps-digit
+    mpc recursion beside the PhaseCoeff symbol in exact mode, where an entry
+    is zero only if the symbol is zero and |g_num| <= 100 err.  Returns the
+    entries, all_zero, complete, and the symbol's own zero test per entry."""
+    lam = as_scalar(lam)
+    exact = f.is_exact() and bool(f.coeffs)
+    symbolic_zero = []
+
+    # chains for k != 0
+    support = [(k, m) for (k, m) in f.coeffs if k != 0]
+    complete = all(abs(k) <= K for k, _ in support)
+    chains: dict = {}
+    for (k, m) in support:
+        if abs(k) > K:
+            continue
+        r = m % abs(k)
+        chains.setdefault((k, r), []).append(m)
+
+    entries = []
+    all_zero = True
+    for (k, r), ms in sorted(chains.items(), key=lambda t: (abs(t[0][0]), t[0][0], t[0][1])):
+        m_lo, m_hi = min(ms), max(ms)
+        step = abs(k)
+        if exact:
+            value_sym = PhaseCoeff.zero(lam)
+        g_num = mpmath.mpc(0)
+        err = mpmath.mpf(0)
+        # iterate so the final value is the first chain entry above the support
+        ms_iter = range(m_lo, m_hi + step + 1, step) if k > 0 else range(m_lo, m_hi + 1, step)
+        with mpmath.workdps(dps):
+            eps = mpmath.mpf(2) ** (10 - mpmath.mp.prec)
+            for m in ms_iter:
+                fc = f.coeffs.get((k, m))
+                if k > 0:
+                    # g_m = phase(m-k) g_{m-k} - f_m
+                    g_num = _oracle_phase_mpc(lam, m - k) * g_num
+                    if fc is not None:
+                        g_num -= _oracle_coeff_mpc(fc, dps)
+                    if exact:
+                        value_sym = value_sym.shift_phase(m - k)
+                        if fc is not None:
+                            value_sym = value_sym - _oracle_as_phase(fc, lam)
+                else:
+                    # g_{m+|k|} = (g_m + f_m) / phase(m-k)
+                    if fc is not None:
+                        g_num += _oracle_coeff_mpc(fc, dps)
+                    g_num = g_num / _oracle_phase_mpc(lam, m - k)
+                    if exact:
+                        if fc is not None:
+                            value_sym = value_sym + _oracle_as_phase(fc, lam)
+                        value_sym = value_sym.shift_phase(-(m - k))
+                err = err + (abs(g_num) + 1) * eps
+        val = complex(g_num)
+        if exact:
+            sym_zero = value_sym.is_zero()
+            symbolic_zero.append(sym_zero)
+            num_zero = abs(g_num) <= err * 100
+            is_zero = sym_zero and num_zero
+            entries.append(
+                ObstructionEntry(k, r, val, 0.0 if is_zero else abs(val), is_zero)
+            )
+            if not is_zero:
+                all_zero = False
+        else:
+            entries.append(ObstructionEntry(k, r, val, abs(val)))
+            if abs(val) > tol:
+                all_zero = False
+    return entries, all_zero, complete, symbolic_zero
+
+
+EXACT_LAMS = [Rational(p, q) for q in (2, 3, 4, 5, 6, 8, 12) for p in range(1, q) if math.gcd(p, q) == 1] + [
+    GOLDEN, QuadraticIrrational(0, 1, 1, 2), QuadraticIrrational(1, 1, 4, 3), QuadraticIrrational(-2, 1, 3, 7)
+]
+_small_fraction = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+_gaussian = st.builds(GaussianRational, _small_fraction, _small_fraction)
+_mode = st.tuples(st.integers(-7, 7), st.integers(-6, 6))
+
+
+@st.composite
+def exact_obstruction_data(draw):
+    """A skew coboundary at an exact lam plus a few planted phase polynomials."""
+    lam = draw(st.sampled_from(EXACT_LAMS))
+    g = draw(st.dictionaries(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), _gaussian, max_size=5))
+    f = skew_coboundary_exact(g, lam)
+    planted = draw(st.dictionaries(_mode, st.dictionaries(st.integers(-3, 3), _gaussian, max_size=3),
+                                   max_size=3))
+    f = f + TrigPoly(2, {k: PhaseCoeff(lam, terms) for k, terms in planted.items()})
+    return f, lam, draw(st.integers(1, 7))
+
+
+@st.composite
+def float_obstruction_data(draw):
+    lam = draw(st.one_of(st.sampled_from(EXACT_LAMS),
+                         st.floats(-2, 2, allow_subnormal=False).map(ApproximateReal)))
+    c = st.builds(complex, st.floats(-2, 2), st.floats(-2, 2))
+    f = TrigPoly(2, draw(st.dictionaries(_mode, c, min_size=1, max_size=6)))
+    return f, lam, draw(st.integers(1, 7))
+
+
+def _bits(z: complex):
+    return z.real.hex(), z.imag.hex()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(exact_obstruction_data(), float_obstruction_data())
+def test_katok_matches_two_lane_oracle(exact_case, float_case):
+    """The symbol decides zeros as the oracle's symbol did, a zero reads 0j, a
+    nonzero value is the oracle's to within 2^-52 |value| per component, and
+    the float lane is the oracle's bit for bit."""
+    f, lam, K = exact_case
+    rep = katok_obstructions(f, lam, K)
+    entries, all_zero, complete, symbolic_zero = katok_two_lane_oracle(f, lam, K)
+    assert (rep.all_zero, rep.complete) == (all_zero, complete)
+    assert [(e.k, e.r) for e in rep.entries] == [(o.k, o.r) for o in entries]
+    assert len(symbolic_zero) == len(rep.entries)
+    for e, o, sym_zero in zip(rep.entries, entries, symbolic_zero):
+        assert e.exact_zero == sym_zero
+        if e.exact_zero:
+            assert _bits(e.value) == _bits(0j) and e.modulus == 0.0
+        else:
+            bound = 2.0**-52 * abs(o.value)
+            assert abs(e.value.real - o.value.real) <= bound
+            assert abs(e.value.imag - o.value.imag) <= bound
+            assert e.modulus == abs(e.value)
+
+    f, lam, K = float_case
+    rep = katok_obstructions(f, lam, K)
+    entries, all_zero, complete, _ = katok_two_lane_oracle(f, lam, K)
+    assert not rep.exact and (rep.all_zero, rep.complete) == (all_zero, complete)
+    assert [(e.k, e.r, _bits(e.value), e.modulus.hex(), e.exact_zero) for e in rep.entries] == [
+        (o.k, o.r, _bits(o.value), o.modulus.hex(), o.exact_zero) for o in entries
+    ]
+
+
+def test_katok_exact_mode_refuses_exact_coeff():
+    f = TrigPoly(2, {(1, 0): ExactCoeff.from_gaussian(GaussianRational(1))})
+    with pytest.raises(ExactnessError):
+        katok_obstructions(f, Rational(1, 3), 2)
 
 
 def test_skew_coboundary_float_exact_agree(rng):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import mpmath
@@ -6,8 +7,8 @@ import numpy as np
 import pytest
 
 from leafcoh.diophantine import matrix_margin
+from leafcoh.cli import main
 from leafcoh.errors import (
-    IllConditionedError,
     NotAutomorphismError,
     NotHyperbolicError,
     UnsupportedDegreeError,
@@ -151,25 +152,61 @@ def test_wang_cat_and_cubic():
     assert wang_cohomology(certify_hyperbolic(CUBIC)).dims == (1, 1, 0, 0)
 
 
-def test_wang_matches_eigenvalue_product_oracle():
-    A = certify_hyperbolic(CUBIC)
-    eigs = A.stable_eigenvalues
-    # oracle: direct enumeration of subset products
-    prods = []
-    for k in range(1, len(eigs) + 1):
-        for sub in itertools.combinations(eigs, k):
-            z = 1.0 + 0.0j
-            for v in sub:
-                z *= v
-            prods.append(abs(z - 1.0))
-    assert min(prods) > 1e-8
-    assert wang_cohomology(A).dims == (1, 1) + (0,) * len(eigs)
+def _unimodular_sample(rng, n, count):
+    """Seeded integer matrices with det +-1: products of elementary matrices,
+    rows permuted."""
+    out = []
+    while len(out) < count:
+        M = np.eye(n, dtype=np.int64)
+        for _ in range(3 * n):
+            i, j = rng.sample(range(n), 2)
+            E = np.eye(n, dtype=np.int64)
+            E[i, j] = rng.choice((-1, 1))
+            M = E @ M
+        perm = list(range(n))
+        rng.shuffle(perm)
+        if np.abs(M).max() <= 12:
+            out.append(M[perm].tolist())
+    return out
 
 
-def test_wang_ill_conditioned_tolerance():
-    A = certify_hyperbolic(CAT)
-    with pytest.raises(IllConditionedError):
-        wang_cohomology(A, tol=0.99)
+def test_wang_matches_eigenvalue_product_oracle(rng):
+    """Every certified 2x2 matrix with entries in [-3, 3] and a seeded sample
+    of 3x3 and 4x4 ones: no product of stable eigenvalues comes within
+    cert_tol of 1, and the dims are the closed form (1, 1, 0, ..., 0)."""
+    cert_tol = 1e-8
+    matrices = [[[a, b], [c, d]] for a, b, c, d in itertools.product(range(-3, 4), repeat=4)]
+    matrices += _unimodular_sample(rng, 3, 20) + _unimodular_sample(rng, 4, 20)
+    certified = 0
+    for M in matrices:
+        try:
+            A = certify_hyperbolic(M, cert_tol=cert_tol)
+        except (NotAutomorphismError, NotHyperbolicError):
+            continue
+        certified += 1
+        eigs = A.stable_eigenvalues
+        prods = []
+        for k in range(1, len(eigs) + 1):
+            for sub in itertools.combinations(eigs, k):
+                z = 1.0 + 0.0j
+                for v in sub:
+                    z *= v
+                prods.append(abs(z - 1.0))
+        assert min(prods) > cert_tol, M
+        assert wang_cohomology(A).dims == (1, 1) + (0,) * len(eigs), M
+    assert certified > 100
+
+
+def test_wang_ill_conditioned_tolerance(capsys):
+    """An over-large tolerance is refused by certification, which is where
+    --tol goes under toral: a certified A has every stable modulus below
+    1 - cert_tol, so wang_cohomology itself has nothing to refuse."""
+    with pytest.raises(NotHyperbolicError):
+        certify_hyperbolic(CAT, cert_tol=0.99)
+    with pytest.raises(ValueError):
+        certify_hyperbolic(CAT, cert_tol=-1.0)  # an empty band would certify rotations
+    assert main(["--tol", "0.99", "toral", "wang", "--matrix", "[[2,1],[1,1]]"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "NotHyperbolicError"
 
 
 def test_compound_matrix_eigenvalues_are_products():
